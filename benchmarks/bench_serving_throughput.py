@@ -9,14 +9,15 @@ workload of sub-marginal and slice queries on four paths:
 * **cold** — caching disabled: route, plan (covering-index ancestor search
   over all released cuboids), aggregate, slice, every time;
 * **cached** — the same queries against a warm LRU cache;
-* **batched-serial** — the cold workload through ``query_batch`` with
-  grouping disabled: the plain per-query loop, one call;
+* **batched-serial** — the cold workload as a per-request ``query()``
+  loop (each a batch of one) on its own cache-less service: what a client
+  pays for not batching;
 * **batched-grouped** — the grouped path, swept over batch size ×
   worker count: queries grouped by (release, source cuboid, union target),
   one aggregation and one vectorised gather per group, independent groups
   dispatched on the shared thread pool.
 
-The grouped answers are asserted sha256-identical to the batched-serial
+The grouped answers are asserted sha256-identical to the per-request
 answers before any timing is believed.  Per-query p50/p99 latencies come
 from a traced pass that feeds an obs histogram per path.
 
@@ -205,10 +206,12 @@ def main(argv=None) -> int:
         cuboids = len(store.metadata("bench")["masks"])
 
         # Correctness gate before any timing: the grouped path must answer
-        # byte-for-byte what the serial per-query loop answers.
-        serial_answers = QueryService(store, cache_size=0).query_batch(
-            requests, grouped=False
-        )
+        # byte-for-byte what the per-request loop answers.
+        serial_service = QueryService(store, cache_size=0)
+        serial_answers = [
+            serial_service.query(mask=request.mask, where=request.where)
+            for request in requests
+        ]
         grouped_answers = QueryService(store, cache_size=0, batch_workers=2).query_batch(
             requests
         )
@@ -219,14 +222,13 @@ def main(argv=None) -> int:
 
         cold_service = QueryService(store, cache_size=0)
         warm_service = QueryService(store, cache_size=4096)
-        serial_service = QueryService(store, cache_size=0)
         _run_single(warm_service, requests)  # warm the cache once
 
         timings: Dict[str, float] = {
             "cold": _time_best_of(lambda: _run_single(cold_service, requests), reps),
             "cached": _time_best_of(lambda: _run_single(warm_service, requests), reps),
             "batched_serial": _time_best_of(
-                lambda: serial_service.query_batch(requests, grouped=False), reps
+                lambda: _run_single(serial_service, requests), reps
             ),
         }
 
@@ -262,10 +264,9 @@ def main(argv=None) -> int:
             _run_single(
                 warm_service, requests, observe=_observer("bench.latency.cached")
             )
-            for request in requests:  # batched-serial: per-query loop, one call
-                start = time.perf_counter()
-                serial_service.query_batch([request], grouped=False)
-                _observer("bench.latency.batched_serial")(time.perf_counter() - start)
+            _run_single(
+                serial_service, requests, observe=_observer("bench.latency.batched_serial")
+            )
             _run_grouped(
                 grouped_service,
                 requests,
@@ -340,7 +341,6 @@ def main(argv=None) -> int:
         "serving_stats": {
             "batch_groups": grouped_stats["batch_groups"],
             "plan_cache": grouped_stats["plan_cache"],
-            "request_index": grouped_stats["request_index"],
         },
         "observability": observability,
     }
@@ -374,9 +374,9 @@ def main(argv=None) -> int:
     assert paths["batched_grouped"]["qps"] >= paths["batched_serial"]["qps"]
     if not args.quick:
         # A warm cache hit must still clearly beat the cold path.  The margin
-        # used to be >= 10x; the covering index, plan cache and route memo
-        # now serve cache-less queries too, so cold itself got ~4x faster and
-        # the cache's relative headroom is structurally smaller.
+        # used to be >= 10x; the covering index and plan cache now serve
+        # cache-less queries too, so cold itself got ~4x faster and the
+        # cache's relative headroom is structurally smaller.
         cached_speedup = paths["cached"]["speedup_vs_cold"]
         assert cached_speedup >= 2.0, f"cached path only {cached_speedup:.1f}x"
         assert paths["cached"]["qps"] >= paths["batched_grouped"]["qps"]

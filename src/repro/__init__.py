@@ -84,7 +84,8 @@ from repro.resilience import (
     plan_fingerprint,
 )
 
-__version__ = "1.5.0"
+#: The package version; ``pyproject.toml`` reads it from here.
+__version__ = "1.6.0"
 
 __all__ = [
     "Attribute",

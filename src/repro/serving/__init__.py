@@ -10,7 +10,7 @@ into a persistent, queryable service:
   sub-marginal, point and slice queries from the released cuboid lattice,
   always choosing the minimum-expected-variance covering cuboid;
 * :class:`~repro.serving.cache.AnswerCache` — LRU answer memoisation with
-  hit/miss/eviction statistics;
+  hit/miss/eviction statistics, keyed by the service on request signatures;
 * :class:`~repro.serving.service.QueryService` — the facade combining all of
   the above, with single and batched query APIs and per-answer error bars.
 
@@ -18,7 +18,7 @@ Everything here is post-processing of already-released data: serving any
 number of queries consumes **zero** additional privacy budget.
 """
 
-from repro.serving.cache import AnswerCache, CacheStats, answer_key
+from repro.serving.cache import AnswerCache, CacheStats
 from repro.serving.planner import (
     QueryPlan,
     QueryPlanner,
@@ -32,7 +32,6 @@ from repro.serving.store import ReleaseStore, STORE_FORMAT_VERSION
 __all__ = [
     "AnswerCache",
     "CacheStats",
-    "answer_key",
     "QueryPlan",
     "QueryPlanner",
     "ServedAnswer",

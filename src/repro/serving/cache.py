@@ -1,9 +1,9 @@
 """LRU answer cache for the query-serving layer.
 
 Served answers are immutable (the planner freezes the value arrays), so they
-can be shared between the cache and callers without copying.  Keys are
-``(release id, query mask, fixed mask, fixed bits)`` tuples — everything that
-determines an answer besides the release content itself.
+can be shared between the cache and callers without copying.  The cache is
+agnostic of its keys; :class:`~repro.serving.service.QueryService` keys it on
+the raw request signature, so a hit skips name resolution and routing too.
 
 Hit/miss/eviction bookkeeping uses the pipeline-wide
 :class:`~repro.obs.cachestats.CacheStats` protocol (re-exported here for
@@ -15,22 +15,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Optional
 
 from repro.exceptions import ServingError
 from repro.obs.cachestats import CacheStats
 from repro.serving.planner import ServedAnswer
 
-__all__ = ["AnswerCache", "CacheKey", "CacheStats", "answer_key"]
-
-CacheKey = Tuple[Optional[str], int, int, int]
-
-
-def answer_key(
-    release_id: Optional[str], query_mask: int, fixed_mask: int = 0, fixed_bits: int = 0
-) -> CacheKey:
-    """Canonical cache key of a (release, query, predicate) triple."""
-    return (release_id, int(query_mask), int(fixed_mask), int(fixed_bits))
+__all__ = ["AnswerCache", "CacheStats"]
 
 
 class AnswerCache:
@@ -41,14 +32,17 @@ class AnswerCache:
     max_entries:
         Capacity; ``0`` disables caching entirely (every ``get`` misses and
         ``put`` is a no-op).
+    stats:
+        Counters to record into; pass one object to successive caches to
+        keep cumulative statistics across them (a fresh one by default).
     """
 
-    def __init__(self, max_entries: int = 1024):
+    def __init__(self, max_entries: int = 1024, *, stats: Optional[CacheStats] = None):
         if max_entries < 0:
             raise ServingError(f"cache capacity must be non-negative, got {max_entries}")
         self._max_entries = max_entries
         self._entries: "OrderedDict[Hashable, ServedAnswer]" = OrderedDict()
-        self._stats = CacheStats(metric_prefix="serving.cache")
+        self._stats = stats if stats is not None else CacheStats(metric_prefix="serving.cache")
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #

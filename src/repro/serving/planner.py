@@ -185,9 +185,11 @@ class QueryPlan:
         Expected noise variance of each served cell
         (``source cell variance * expansion``).
     degraded:
-        ``True`` when an excluded (quarantined) cuboid dominates the query —
-        the answer comes from a fallback source with wider error bars than a
-        healthy release would have produced.
+        ``True`` when the exclusion of quarantined cuboids changed the chosen
+        source — the answer comes from a fallback source with wider error
+        bars than the healthy release would have produced.  A quarantined
+        cuboid that dominates the query but was not its optimum does not
+        degrade the answer.
     """
 
     union_mask: int
@@ -349,10 +351,9 @@ class QueryPlanner:
         same covering choice under near-tie variance.  Resolved plans are
         memoised by ``(union mask, quarantine set)``: repeated query shapes
         (same columns, different predicate values) skip planning entirely.
-        ``exclude`` removes quarantined cuboids from consideration; when one
-        of them would have covered the query, the plan is flagged
-        ``degraded`` — the chosen fallback carries wider error bars than the
-        healthy release would.
+        ``exclude`` removes quarantined cuboids from consideration; when that
+        changes the chosen source, the plan is flagged ``degraded`` — the
+        fallback carries wider error bars than the healthy release would.
         """
         exclude_key = exclude if isinstance(exclude, frozenset) else frozenset(exclude)
         cache_key = (union_mask, exclude_key)
@@ -369,9 +370,6 @@ class QueryPlanner:
                 f"query mask {union_mask:#x} is outside the release's "
                 f"{self._release.workload.dimension}-bit domain"
             )
-        degraded = bool(exclude) and any(
-            dominated_by(union_mask, mask) for mask in exclude
-        )
         best = self._index.best_source(union_mask, exclude=exclude_key)
         if best is None:
             quarantined = (
@@ -383,6 +381,9 @@ class QueryPlanner:
                 f"released masks: {available}"
             )
         variance, expansion, source, position = best
+        degraded = bool(exclude_key) and (
+            self._index.best_source(union_mask)[3] != position  # type: ignore[index]
+        )
         plan = QueryPlan(
             union_mask=union_mask,
             source_mask=source,

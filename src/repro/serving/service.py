@@ -6,16 +6,20 @@
 predicates against the release schema, routes each query to a covering
 release, plans and aggregates through the
 :class:`~repro.serving.planner.QueryPlanner`, and memoises answers in an
-LRU :class:`~repro.serving.cache.AnswerCache`.
+LRU :class:`~repro.serving.cache.AnswerCache` keyed on the raw request
+signature, so a hit skips resolution and routing as well.
 
-Batched queries are grouped by resolved ``(release, source cuboid,
-aggregation target)``: each group is aggregated exactly once, every request
-in it that carries a predicate is answered by one vectorised gather over the
-shared aggregate (:func:`~repro.serving.planner.slice_marginal_batch`), and
-independent groups are dispatched concurrently on the shared
-:mod:`repro.shards` thread pool so multi-cuboid batches overlap I/O on
-memory-mapped v2 stores.  The grouped path is bitwise identical to issuing
-the same queries one by one.  Serving never touches the privacy budget —
+Single and batched queries share one path.  Requests are grouped by resolved
+``(release, source cuboid, aggregation target)``: each group is aggregated
+exactly once, every request in it that carries a predicate is answered by
+one vectorised gather over the shared aggregate
+(:func:`~repro.serving.planner.slice_marginal_batch`), and independent
+groups are dispatched concurrently on the shared :mod:`repro.shards` thread
+pool so multi-cuboid batches overlap I/O on memory-mapped v2 stores.
+
+Routing state lives in an immutable per-generation snapshot that writers
+replace under one lock (copy-on-write), so the many threads of the HTTP tier
+read it without locking.  Serving never touches the privacy budget —
 everything is post-processing of the released vectors.
 """
 
@@ -24,9 +28,8 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from repro.domain.schema import AttributeRef, Schema
 from repro.exceptions import CorruptMarginalError, ReproError, ServingError
 from repro.obs import runtime as _obs
 from repro.obs.cachestats import CacheStats
-from repro.serving.cache import AnswerCache, answer_key
+from repro.serving.cache import AnswerCache
 from repro.serving.planner import (
     QueryPlan,
     QueryPlanner,
@@ -134,6 +137,92 @@ def resolve_predicate(schema: Schema, where: Optional[WhereClause]) -> Tuple[int
     return fixed_mask, fixed_bits
 
 
+_NO_EXCLUDE: FrozenSet[int] = frozenset()
+
+#: One resolved batch member: ``(position, query mask, fixed mask, fixed bits)``.
+_Member = Tuple[int, int, int, int]
+#: One aggregation group: ``(release, planner, plan, members)``.
+_Group = Tuple[Optional[str], QueryPlanner, QueryPlan, List[_Member]]
+
+
+def _request_signature(request: QueryRequest, release_id: Optional[str]):
+    """Hashable form of the raw request (the answer-cache key), or ``None``
+    when the predicate values are not hashable."""
+    try:
+        where_items = frozenset(request.where.items()) if request.where is not None else None
+    except TypeError:
+        return None
+    return (release_id, request.mask, request.attributes, where_items)
+
+
+def _resolve(schema: Schema, request: QueryRequest) -> Tuple[int, int, int]:
+    """``(query mask, fixed mask, fixed bits)`` of a request under ``schema``."""
+    if request.mask is not None:
+        query_mask = int(request.mask)
+        if query_mask < 0 or query_mask > schema.full_mask:
+            raise ServingError(f"query mask {query_mask:#x} is outside the release's domain")
+    else:
+        query_mask = schema.mask_of(request.attributes or ())
+    fixed_mask, fixed_bits = resolve_predicate(schema, request.where)
+    if fixed_mask & query_mask:
+        raise ServingError(
+            "predicated attributes must not also be queried "
+            f"(bits {fixed_mask & query_mask:#x} overlap)"
+        )
+    return query_mask, fixed_mask, fixed_bits
+
+
+def _uncovered(union_mask: int, exclude: FrozenSet[int]) -> ServingError:
+    quarantined = f" ({len(exclude)} cuboid(s) quarantined)" if exclude else ""
+    return ServingError(f"no released cuboid covers marginal {union_mask:#x}{quarantined}")
+
+
+def _aggregate_group(
+    planner: QueryPlanner, plan: QueryPlan
+) -> Tuple[Optional[np.ndarray], Optional[CorruptMarginalError]]:
+    """Aggregate one group's source; a corrupt source comes back as a value.
+
+    Runs on pool worker threads, so quarantining (which replaces the serving
+    state) is left to the calling thread.  Concurrent calls against one
+    planner are safe — the lazily built cube views and digest markers are
+    idempotent (racing writers store identical values).
+    """
+    try:
+        return planner.aggregate(plan), None
+    except CorruptMarginalError as error:
+        if error.mask is None:
+            raise
+        return None, error
+
+
+@dataclass(frozen=True)
+class _ServingState:
+    """Everything routing reads, for one serving epoch.
+
+    An epoch starts at construction, on a store generation change and on
+    :meth:`QueryService.invalidate`; each has its own ``cache``, so cache
+    identity is epoch identity.  Quarantines and sidelinings derive a new
+    state of the same epoch.  ``planners`` and ``schemas`` are insert-only
+    memos shared by the states of one epoch; every other field is replaced,
+    never mutated.
+    """
+
+    generation: int
+    routing_order: Tuple[Optional[str], ...]
+    #: Corrupt cuboid masks per release, never aggregated again.
+    quarantined: Mapping[Optional[str], FrozenSet[int]]
+    #: Unloadable releases (by id) that routing skips, with the load error.
+    sidelined: Mapping[str, str]
+    planners: Dict[Optional[str], QueryPlanner]
+    schemas: Dict[Optional[str], Schema]
+    cache: AnswerCache
+    quarantine_events: int = 0
+
+    def exclude(self, release_id: Optional[str]) -> FrozenSet[int]:
+        """The quarantined cuboid masks of one release (usually empty)."""
+        return self.quarantined.get(release_id, _NO_EXCLUDE)
+
+
 class QueryService:
     """Serve marginal / point / slice queries from private releases.
 
@@ -160,54 +249,33 @@ class QueryService:
     ):
         if isinstance(source, ReleaseResult):
             self._store: Optional[ReleaseStore] = None
-            self._planners: Dict[Optional[str], QueryPlanner] = {None: QueryPlanner(source)}
+            self._release_planner: Optional[QueryPlanner] = QueryPlanner(source)
         elif isinstance(source, ReleaseStore):
             self._store = source
-            self._planners = {}
+            self._release_planner = None
         else:
             raise ServingError(
                 f"QueryService expects a ReleaseStore or ReleaseResult, got {type(source).__name__}"
             )
-        self._schemas: Dict[Optional[str], Schema] = {}
-        self._seen_generation = source.generation if isinstance(source, ReleaseStore) else 0
-        # Degradation state: cuboids whose stored vectors failed an integrity
-        # check are quarantined per release (never aggregated again), and
-        # releases whose files cannot be loaded at all are sidelined from
-        # routing.  Both sets heal on invalidate() — e.g. after the operator
-        # re-puts a repaired release.
-        self._quarantined: Dict[Optional[str], Set[int]] = {}
-        self._degraded_releases: Dict[str, str] = {}
-        self._quarantine_events = 0
-        self._cache = AnswerCache(cache_size)
-        # Request-signature fast path: an LRU mapping the *raw* request
-        # (before name resolution and routing) to its resolved route
-        # ``(rid, query_mask, fixed_mask, fixed_bits, cache key)`` so warm
-        # shapes skip schema resolution and the covering-release scan
-        # entirely — even when the answer cache is disabled.  Entries are
-        # dropped wholesale whenever routing could change (store generation
-        # bump, quarantine, sidelining, invalidate).
-        self._request_keys: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._request_keys_cap = max(4 * cache_size, 4096)
-        # The route memo is touched from every thread the asyncio serving
-        # tier dispatches query_batch on; OrderedDict.move_to_end/popitem
-        # are not atomic, so all memo access goes through this lock.
-        self._request_keys_lock = threading.Lock()
-        self._request_stats = CacheStats(metric_prefix="serving.request_keys")
         if batch_workers is not None and int(batch_workers) < 1:
             raise ServingError(
                 f"batch_workers must be at least 1, got {batch_workers}"
             )
         self._batch_workers = int(batch_workers) if batch_workers is not None else None
-        # Default routing order (newest release first), cached per store
-        # generation so batch traffic does not re-sort the index per request.
-        self._routing_order: Optional[List[Optional[str]]] = None
+        self._cache_size = cache_size
+        # Hit/miss counters stay cumulative across the per-epoch caches.
+        self._cache_stats = CacheStats(metric_prefix="serving.cache")
+        # Writers (epoch changes, quarantine, sidelining) swap ``_state``
+        # under this lock; readers take ``self._state`` once, lock-free.
+        self._lock = threading.Lock()
+        self._state = self._new_epoch(quarantine_events=0)
         self._queries = 0
         self._batches = 0
         self._batched_requests = 0
         self._batch_groups = 0
 
     # ------------------------------------------------------------------ #
-    # release resolution
+    # serving state
     # ------------------------------------------------------------------ #
     @property
     def store(self) -> Optional[ReleaseStore]:
@@ -216,37 +284,150 @@ class QueryService:
 
     @property
     def cache(self) -> AnswerCache:
-        """The answer cache (exposed for stats and explicit invalidation)."""
-        return self._cache
+        """The answer cache of the current epoch (exposed for stats)."""
+        return self._state.cache
 
-    def _sync_with_store(self) -> None:
-        """Drop every cache when the store's release set changed.
+    def _routing_order(self) -> Tuple[Optional[str], ...]:
+        """Default candidates, newest release first (later releases
+        supersede earlier ones)."""
+        if self._store is None:
+            return (None,)
+        return tuple(reversed(self._store.release_ids()))
+
+    def _new_epoch(self, *, quarantine_events: int) -> _ServingState:
+        """A state with empty memos, no degradation and a fresh cache."""
+        if self._store is None:
+            planner = self._release_planner
+            planners = {None: planner}
+            schemas = {None: planner.release.workload.schema}  # type: ignore[union-attr]
+            generation = 0
+        else:
+            planners, schemas = {}, {}
+            # Read before the release list: a put racing this build leaves
+            # a stale generation, so the next call rebuilds.
+            generation = self._store.generation
+        return _ServingState(
+            generation=generation,
+            routing_order=self._routing_order(),
+            quarantined={},
+            sidelined={},
+            planners=planners,  # type: ignore[arg-type]
+            schemas=schemas,  # type: ignore[arg-type]
+            cache=AnswerCache(self._cache_size, stats=self._cache_stats),
+            quarantine_events=quarantine_events,
+        )
+
+    def _current(self) -> _ServingState:
+        """The live state, first starting a new epoch if the store's release
+        set changed.
 
         This retires stale planners and answers after ``put`` (including
         ``overwrite=True``) or ``delete`` through the same store instance.
         Mutations made by *other* processes are invisible here; call
         :meth:`invalidate` (or reopen the store) to pick those up.
         """
-        if self._store is not None and self._store.generation != self._seen_generation:
-            self.invalidate()
+        state = self._state
+        if self._store is None or self._store.generation == state.generation:
+            return state
+        with self._lock:
+            if self._state.generation != self._store.generation:
+                self._state = self._new_epoch(
+                    quarantine_events=self._state.quarantine_events
+                )
+            return self._state
 
+    def invalidate(self, release_id: Optional[str] = None) -> None:
+        """Drop cached planners, schemas, answers — and degradation state.
+
+        Quarantines heal here on purpose: after store mutation the corrupt
+        file may have been repaired or replaced, and a re-verify on next
+        touch is cheap."""
+        with self._lock:
+            state = self._state
+            if release_id is None:
+                self._state = self._new_epoch(quarantine_events=state.quarantine_events)
+                return
+
+            def without(mapping):
+                return {key: value for key, value in mapping.items() if key != release_id}
+
+            self._state = replace(
+                state,
+                routing_order=self._routing_order(),
+                quarantined=without(state.quarantined),
+                sidelined=without(state.sidelined),
+                planners=without(state.planners),
+                schemas=without(state.schemas),
+                cache=AnswerCache(self._cache_size, stats=self._cache_stats),
+            )
+
+    def _degrade(
+        self,
+        seen: _ServingState,
+        release_id: Optional[str],
+        error: ServingError,
+        *,
+        mask: Optional[int] = None,
+    ) -> _ServingState:
+        """Quarantine one corrupt cuboid (``mask``) or, without a mask,
+        sideline a whole unloadable release; returns the state to go on with.
+
+        The finding is applied to the live state and swapped in when ``seen``
+        belongs to the live epoch.  A finding from a retired epoch (the store
+        moved or was invalidated meanwhile) stays local to the batch that
+        made it: the files may have been repaired since.
+        """
+        with self._lock:
+            live = self._state
+            base = live if live.cache is seen.cache else seen
+            if mask is None:
+                if release_id in base.sidelined:
+                    return base
+                state = replace(base, sidelined={**base.sidelined, release_id: str(error)})
+                metric = "serving.releases_degraded"
+                message = f"release {release_id!r} is unloadable and was sidelined from serving"
+            else:
+                masks = base.exclude(release_id)
+                if mask in masks:
+                    return base
+                state = replace(base, quarantined={**base.quarantined, release_id: masks | {mask}})
+                metric = "serving.marginals_quarantined"
+                message = f"quarantined corrupt cuboid {mask:#x} and degraded serving"
+            state = replace(state, quarantine_events=base.quarantine_events + 1)
+            if base is live:
+                self._state = state
+        if _obs.ENABLED:
+            _obs.counter_inc(metric)
+            _obs.gauge_set(
+                "serving.quarantined_marginals",
+                float(sum(len(masks) for masks in state.quarantined.values())),
+            )
+        warnings.warn(f"{message}: {error}", RuntimeWarning, stacklevel=4)
+        return state
+
+    # ------------------------------------------------------------------ #
+    # release resolution
+    # ------------------------------------------------------------------ #
     def planner(self, release_id: Optional[str] = None) -> QueryPlanner:
-        """The (lazily built) planner of one release.
+        """The (lazily built) planner of one release (default: the latest).
 
         Store-backed planners verify each source cuboid against its stored
         content digest the first time a query aggregates it.
         """
+        state = self._current()
         if self._store is None:
-            return self._planners[None]
-        self._sync_with_store()
+            return state.planners[None]
         if release_id is None:
             release_id = self._store.latest_release_id()
-        planner = self._planners.get(release_id)
+        return self._planner(state, release_id)
+
+    def _planner(self, state: _ServingState, release_id: Optional[str]) -> QueryPlanner:
+        planner = state.planners.get(release_id)
         if planner is None:
             # Concurrent builders are tolerated (the loser's planner is
-            # dropped); setdefault keeps exactly one instance live so the
-            # plan cache and digest markers are shared across threads.
-            planner = self._planners.setdefault(
+            # dropped); setdefault keeps exactly one instance per epoch so
+            # the plan cache and digest markers are shared across threads.
+            planner = state.planners.setdefault(
                 release_id,
                 QueryPlanner(
                     self._store.get(release_id),
@@ -255,233 +436,87 @@ class QueryService:
             )
         return planner
 
-    def invalidate(self, release_id: Optional[str] = None) -> None:
-        """Drop cached planners, schemas, answers — and degradation state.
-
-        Quarantines heal here on purpose: after store mutation the corrupt
-        file may have been repaired or replaced, and a re-verify on next
-        touch is cheap."""
-        if release_id is None:
-            if self._store is not None:
-                self._planners.clear()
-                self._schemas.clear()
-            self._quarantined.clear()
-            self._degraded_releases.clear()
-        else:
-            self._planners.pop(release_id, None)
-            self._schemas.pop(release_id, None)
-            self._quarantined.pop(release_id, None)
-            self._degraded_releases.pop(release_id, None)
-        self._cache.clear()
-        with self._request_keys_lock:
-            self._request_keys.clear()
-        self._routing_order = None
-        if self._store is not None:
-            self._seen_generation = self._store.generation
-
-    def _candidate_release_ids(self, release_id: Optional[str]) -> List[Optional[str]]:
-        if self._store is None:
-            if release_id is not None:
-                raise ServingError("this service fronts a single in-memory release")
-            return [None]
-        if release_id is not None:
-            if release_id not in self._store:
-                raise ServingError(f"no release {release_id!r} in the store")
-            return [release_id]
-        # Newest first: later releases supersede earlier ones by default.
-        # Cached until the store generation moves (invalidate clears it).
-        if self._routing_order is None:
-            self._routing_order = list(reversed(self._store.release_ids()))
-        return self._routing_order
-
-    def _schema_for(self, release_id: Optional[str]) -> Schema:
+    def _schema(self, state: _ServingState, release_id: Optional[str]) -> Schema:
         """Schema of one release, from the store index (no release files)."""
-        if self._store is None:
-            return self._planners[None].release.workload.schema
-        if release_id not in self._schemas:
-            payload = self._store.metadata(release_id)["schema"]  # type: ignore[index]
-            self._schemas[release_id] = Schema.from_dict(payload)  # type: ignore[arg-type]
-        return self._schemas[release_id]
-
-    def _exclude(self, release_id: Optional[str]) -> FrozenSet[int]:
-        """The quarantined cuboid masks of one release (usually empty)."""
-        quarantined = self._quarantined.get(release_id)
-        return frozenset(quarantined) if quarantined else frozenset()
-
-    def _quarantine(
-        self, release_id: Optional[str], mask: int, error: CorruptMarginalError
-    ) -> None:
-        """Sideline one corrupt cuboid; later plans route around it."""
-        masks = self._quarantined.setdefault(release_id, set())
-        if int(mask) in masks:
-            return
-        self._quarantine_events += 1
-        masks.add(int(mask))
-        # Remembered routes may now point at the quarantined cuboid's
-        # release; force full routing until new entries are learned.
-        with self._request_keys_lock:
-            self._request_keys.clear()
-        if _obs.ENABLED:
-            _obs.counter_inc("serving.marginals_quarantined")
-            _obs.gauge_set(
-                "serving.quarantined_marginals",
-                float(sum(len(masks) for masks in self._quarantined.values())),
+        schema = state.schemas.get(release_id)
+        if schema is None:
+            payload = self._store.metadata(release_id)["schema"]  # type: ignore[union-attr,index]
+            schema = state.schemas.setdefault(
+                release_id, Schema.from_dict(payload)  # type: ignore[arg-type]
             )
-        warnings.warn(
-            f"quarantined corrupt cuboid {mask:#x} and degraded serving: {error}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        return schema
 
-    def _covers(self, release_id: Optional[str], union_mask: int) -> bool:
-        """Coverage check from the store index, without loading the release.
-
-        Store-backed coverage runs against the store's cached
-        :class:`~repro.plan.lattice.CoveringIndex` (one vectorised
-        containment pass over a popcount bucket) instead of re-scanning the
-        metadata mask list per query.  Quarantined cuboids do not count as
-        coverage: a release whose only covering cuboid is corrupt routes the
-        query to an older release instead of failing it."""
-        exclude = self._exclude(release_id)
+    def _candidates(
+        self, state: _ServingState, release_id: Optional[str]
+    ) -> Sequence[Optional[str]]:
+        if release_id is None:
+            return state.routing_order
         if self._store is None:
-            return self._planners[None].covers(union_mask, exclude=exclude)
-        return self._store.covering_index(release_id).covers(union_mask, exclude=exclude)
-
-    def _resolve(self, schema: Schema, request: QueryRequest) -> Tuple[int, int, int]:
-        if request.mask is not None:
-            query_mask = int(request.mask)
-            if query_mask < 0 or query_mask > schema.full_mask:
-                raise ServingError(
-                    f"query mask {query_mask:#x} is outside the release's domain"
-                )
-        else:
-            query_mask = schema.mask_of(request.attributes or ())
-        fixed_mask, fixed_bits = resolve_predicate(schema, request.where)
-        if fixed_mask & query_mask:
-            raise ServingError(
-                "predicated attributes must not also be queried "
-                f"(bits {fixed_mask & query_mask:#x} overlap)"
-            )
-        return query_mask, fixed_mask, fixed_bits
+            raise ServingError("this service fronts a single in-memory release")
+        if release_id not in self._store:
+            raise ServingError(f"no release {release_id!r} in the store")
+        return (release_id,)
 
     def _route(
-        self, request: QueryRequest, release_id: Optional[str]
-    ) -> Tuple[Optional[str], QueryPlanner, int, int, int]:
+        self, state: _ServingState, request: QueryRequest, release_id: Optional[str]
+    ) -> Tuple[_ServingState, Optional[str], QueryPlanner, QueryPlan, int, int, int]:
         """Find a release able to answer the request (newest wins on a tie).
 
-        Resolution and coverage run entirely against the store index, so
-        candidates that cannot serve the request are rejected without
-        loading their marginal vectors; only the chosen release's planner
-        (and hence its NPZ archive) is materialised.
+        Resolution runs against the store index, and a release whose planner
+        is not loaded yet is checked against the store's cached
+        :class:`~repro.plan.lattice.CoveringIndex` first, so candidates that
+        cannot serve the request are rejected without loading their marginal
+        vectors; a loaded planner answers coverage from its plan cache.
+        Quarantined cuboids do not count as coverage: a release whose only
+        covering cuboid is corrupt routes the query to an older release
+        instead of failing it.  Returns the state to go on with (a new one
+        when a release had to be sidelined) and the route ``(release,
+        planner, plan, query mask, fixed mask, fixed bits)``.
         """
         last_error: Optional[ServingError] = None
-        for candidate in self._candidate_release_ids(release_id):
-            if candidate is not None and candidate in self._degraded_releases:
+        for candidate in self._candidates(state, release_id):
+            if candidate in state.sidelined:
                 last_error = ServingError(
-                    f"release {candidate!r} is degraded: "
-                    f"{self._degraded_releases[candidate]}"
+                    f"release {candidate!r} is degraded: {state.sidelined[candidate]}"
                 )
                 continue
             try:
-                schema = self._schema_for(candidate)
-                query_mask, fixed_mask, fixed_bits = self._resolve(schema, request)
+                query_mask, fixed_mask, fixed_bits = _resolve(
+                    self._schema(state, candidate), request
+                )
             except ReproError as error:
                 last_error = ServingError(str(error))
                 continue
-            if not self._covers(candidate, query_mask | fixed_mask):
-                excluded = self._exclude(candidate)
-                quarantined = f" ({len(excluded)} cuboid(s) quarantined)" if excluded else ""
-                last_error = ServingError(
-                    f"no released cuboid covers marginal "
-                    f"{(query_mask | fixed_mask):#x}{quarantined}"
-                )
-                continue
+            union_mask = query_mask | fixed_mask
+            exclude = state.exclude(candidate)
+            planner = state.planners.get(candidate)
+            if planner is None:
+                index = self._store.covering_index(candidate)  # type: ignore[union-attr]
+                if not index.covers(union_mask, exclude=exclude):
+                    last_error = _uncovered(union_mask, exclude)
+                    continue
+                try:
+                    planner = self._planner(state, candidate)
+                except ServingError as error:
+                    # The release's files cannot be loaded (torn archive,
+                    # corrupt metadata): sideline the whole release and keep
+                    # routing — an older covering release can still answer.
+                    state = self._degrade(state, candidate, error)
+                    last_error = error
+                    continue
             try:
-                planner = self.planner(candidate)
-            except ServingError as error:
-                # The release's files cannot be loaded (torn archive, corrupt
-                # metadata): sideline the whole release and keep routing —
-                # an older covering release can still answer.
-                if candidate is not None:
-                    self._sideline_release(candidate, error)
-                last_error = error
+                plan = planner.plan(union_mask, exclude=exclude)
+            except ServingError:
+                last_error = _uncovered(union_mask, exclude)
                 continue
-            return candidate, planner, query_mask, fixed_mask, fixed_bits
+            return state, candidate, planner, plan, query_mask, fixed_mask, fixed_bits
         if last_error is not None:
             raise last_error
         raise ServingError("the release store is empty")
 
-    def _sideline_release(self, release_id: str, error: ServingError) -> None:
-        """Mark a whole release unloadable; routing skips it from now on."""
-        self._quarantine_events += 1
-        self._degraded_releases[release_id] = str(error)
-        with self._request_keys_lock:
-            self._request_keys.clear()
-        if _obs.ENABLED:
-            _obs.counter_inc("serving.releases_degraded")
-        warnings.warn(
-            f"release {release_id!r} is unloadable and was sidelined from "
-            f"serving: {error}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
     # ------------------------------------------------------------------ #
     # serving
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _request_signature(request: QueryRequest, release_id: Optional[str]):
-        """Hashable form of the raw request, or ``None`` if not hashable.
-
-        Fast-path entries survive only as long as the store's release set is
-        unchanged: :meth:`_sync_with_store` clears them whenever the store
-        generation moves, so default routing re-runs when a new release may
-        supersede the one a signature previously resolved to.
-        """
-        try:
-            where_items = (
-                frozenset(request.where.items()) if request.where is not None else None
-            )
-        except TypeError:
-            return None
-        return (release_id, request.mask, request.attributes, where_items)
-
-    def _lookup_route(self, signature) -> Optional[tuple]:
-        """The remembered resolution of a request signature, refreshing its
-        recency; ``None`` on a miss.  Entries are
-        ``(rid, query_mask, fixed_mask, fixed_bits, cache key)``."""
-        if signature is None:
-            return None
-        with self._request_keys_lock:
-            entry = self._request_keys.get(signature)
-            if entry is None:
-                self._request_stats.record_miss()
-                return None
-            self._request_keys.move_to_end(signature)
-        self._request_stats.record_hit()
-        return entry
-
-    def _remember_key(self, signature, entry: tuple) -> None:
-        """LRU-insert a resolved route, evicting exactly the oldest entry.
-
-        Earlier revisions evicted the oldest *half* in one O(n) sweep, and
-        before that cleared the map wholesale — both made a burst of live
-        signatures miss at once (re-running name resolution and release
-        routing for the whole working set).  ``OrderedDict.move_to_end`` on
-        every hit keeps recency exact, so eviction is one ``popitem`` per
-        insert and the working set is never collaterally dropped.
-        """
-        if signature is None:
-            return
-        keys = self._request_keys
-        with self._request_keys_lock:
-            if signature in keys:
-                keys.move_to_end(signature)
-            keys[signature] = entry
-            if len(keys) > self._request_keys_cap:
-                keys.popitem(last=False)
-                self._request_stats.record_eviction()
-
     def query(
         self,
         attributes: Optional[Iterable[AttributeRef]] = None,
@@ -490,7 +525,7 @@ class QueryService:
         where: Optional[WhereClause] = None,
         release_id: Optional[str] = None,
     ) -> ServedAnswer:
-        """Answer one marginal (or point/slice) query.
+        """Answer one marginal (or point/slice) query: a batch of one.
 
         ``attributes`` names the queried schema attributes (``mask`` is the
         raw bit-level alternative); ``where`` pins other attributes to fixed
@@ -503,299 +538,148 @@ class QueryService:
         )
         self._queries += 1
         if not _obs.ENABLED:
-            return self._query_impl(request, release_id)
+            return self._serve([request], release_id)[0]
         _obs.counter_inc("serving.queries")
         with _obs.trace_span("serving.query"):
-            return self._query_impl(request, release_id)
-
-    def _answer_route(self, entry: tuple) -> Optional[ServedAnswer]:
-        """Answer straight from a memoised route, or ``None`` to re-route.
-
-        The remembered resolution is trusted because every event that could
-        change routing (store generation bump, quarantine, sidelining,
-        invalidate) clears the memo wholesale; a ``None`` return (corrupt
-        source discovered now, or a release that stopped loading) falls back
-        into the full routing loop, which re-derives everything.
-        """
-        rid, query_mask, fixed_mask, fixed_bits, key = entry
-        if self._cache.max_entries:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-        try:
-            answer = self.planner(rid).answer(
-                query_mask,
-                fixed_mask=fixed_mask,
-                fixed_bits=fixed_bits,
-                exclude=self._exclude(rid),
-            ).with_provenance(release_id=rid)
-        except CorruptMarginalError as error:
-            if error.mask is None:
-                raise
-            self._quarantine(rid, error.mask, error)
-            return None
-        except ServingError:
-            return None
-        if self._cache.max_entries:
-            self._cache.put(key, answer.with_provenance(release_id=rid, cached=True))
-        return answer
-
-    def _query_impl(
-        self, request: QueryRequest, release_id: Optional[str]
-    ) -> ServedAnswer:
-        self._sync_with_store()
-        signature = self._request_signature(request, release_id)
-        entry = self._lookup_route(signature)
-        if entry is not None:
-            answer = self._answer_route(entry)
-            if answer is not None:
-                return answer
-        # Degradation loop: a corrupt source cuboid discovered mid-answer is
-        # quarantined and the query re-planned — first around the quarantine
-        # within the same release, then (when coverage is gone) re-routed to
-        # an older release.  Each pass strictly grows the quarantine set, so
-        # the loop terminates in at most released-cuboid-count passes.
-        while True:
-            rid, planner, query_mask, fixed_mask, fixed_bits = self._route(request, release_id)
-            key = answer_key(rid, query_mask, fixed_mask, fixed_bits)
-            if self._cache.max_entries:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._remember_key(
-                        signature, (rid, query_mask, fixed_mask, fixed_bits, key)
-                    )
-                    return cached
-            try:
-                answer = planner.answer(
-                    query_mask,
-                    fixed_mask=fixed_mask,
-                    fixed_bits=fixed_bits,
-                    exclude=self._exclude(rid),
-                ).with_provenance(release_id=rid)
-            except CorruptMarginalError as error:
-                if error.mask is None:
-                    raise
-                self._quarantine(rid, error.mask, error)
-                continue
-            # Entries are stored pre-marked as cached so hits return them as-is.
-            if self._cache.max_entries:
-                self._cache.put(key, answer.with_provenance(release_id=rid, cached=True))
-            self._remember_key(signature, (rid, query_mask, fixed_mask, fixed_bits, key))
-            return answer
+            return self._serve([request], release_id)[0]
 
     def query_batch(
         self,
         requests: Sequence[RequestLike],
         *,
         release_id: Optional[str] = None,
-        grouped: bool = True,
     ) -> List[ServedAnswer]:
         """Answer many queries, aggregating each source cuboid once.
 
-        Misses are grouped by ``(release, source cuboid, aggregation
+        Cache misses are grouped by ``(release, source cuboid, aggregation
         target)``; each group is aggregated a single time, every predicated
         request in it is answered by one vectorised gather over the shared
         aggregate, and independent groups aggregate concurrently on the
         shared shard pool.  Answers come back in request order.
-
-        ``grouped=False`` answers the batch with the plain per-query loop
-        instead — bitwise identical output, used by equivalence tests and
-        benchmarks as the serial reference.
         """
         coerced = [_coerce_request(request) for request in requests]
         self._batches += 1
         self._batched_requests += len(coerced)
         if not _obs.ENABLED:
-            return self._query_batch_impl(coerced, release_id, grouped=grouped)
+            return self._serve(coerced, release_id)
         _obs.counter_inc("serving.batches")
         _obs.counter_inc("serving.batched_requests", len(coerced))
         with _obs.trace_span("serving.query_batch", requests=len(coerced)):
-            return self._query_batch_impl(coerced, release_id, grouped=grouped)
+            return self._serve(coerced, release_id)
 
-    @staticmethod
-    def _aggregate_group(
-        planner: QueryPlanner, plan: QueryPlan
-    ) -> Tuple[Optional[np.ndarray], Optional[CorruptMarginalError]]:
-        """Aggregate one group's source; errors come back as values.
-
-        Runs on pool worker threads, so quarantining (which mutates service
-        state and re-routes) is deferred to the main thread: workers only
-        report ``(aggregate, None)`` or ``(None, corrupt-marginal error)``.
-        Concurrent calls against one planner are safe — the lazily built
-        cube views and digest markers are idempotent (racing writers store
-        identical values).
-        """
-        try:
-            return planner.aggregate(plan), None
-        except CorruptMarginalError as error:
-            if error.mask is None:
-                raise
-            return None, error
-
-    def _query_batch_impl(
-        self,
-        coerced: List[QueryRequest],
-        release_id: Optional[str],
-        *,
-        grouped: bool = True,
+    def _serve(
+        self, requests: List[QueryRequest], release_id: Optional[str]
     ) -> List[ServedAnswer]:
-        self._sync_with_store()
-        if not grouped:
-            return [self._query_impl(request, release_id) for request in coerced]
-        answers: List[Optional[ServedAnswer]] = [None] * len(coerced)
-        cache_on = bool(self._cache.max_entries)
-        # Resolution phase: route every miss and group it by (release,
-        # source cuboid, aggregation target).  Insertion order of the groups
-        # (and of members within a group) is request order, which keeps the
-        # quarantine-fallback sequence identical to the serial loop.
-        groups: "OrderedDict[Tuple[Optional[str], int, int], tuple]" = OrderedDict()
-        for position, request in enumerate(coerced):
-            signature = self._request_signature(request, release_id)
-            entry = self._lookup_route(signature)
-            planner = None
-            if entry is not None:
-                rid, query_mask, fixed_mask, fixed_bits, key = entry
-                if cache_on:
-                    cached = self._cache.get(key)
-                    if cached is not None:
-                        answers[position] = cached
-                        continue
-                try:
-                    planner = self.planner(rid)
-                    # The memo already holds this exact route (and the lookup
-                    # refreshed its recency) — no need to re-insert it later.
-                    memo_signature = None
-                except ServingError:
-                    planner = None  # stale route; re-derive below
-            if planner is None:
-                memo_signature = signature
-                rid, planner, query_mask, fixed_mask, fixed_bits = self._route(
-                    request, release_id
+        state = self._current()
+        # Answers go to the cache of the epoch they were computed in, even if
+        # a concurrent invalidate retires it meanwhile.
+        cache = state.cache
+        answers: List[Optional[ServedAnswer]] = [None] * len(requests)
+        signatures = [_request_signature(request, release_id) for request in requests]
+        pending: List[int] = []
+        for position, signature in enumerate(signatures):
+            if cache.max_entries and signature is not None:
+                cached = cache.get(signature)
+                if cached is not None:
+                    answers[position] = cached
+                    continue
+            pending.append(position)
+        # A group whose source fails its digest check quarantines that cuboid
+        # and its members take another pass, which re-plans them around the
+        # quarantine (or re-routes them to an older release).  Each retry
+        # strictly grows the quarantine set, so the loop terminates.
+        while pending:
+            groups: Dict[Tuple[Optional[str], int, int], _Group] = {}
+            for position in pending:
+                state, rid, planner, plan, query_mask, fixed_mask, fixed_bits = self._route(
+                    state, requests[position], release_id
                 )
-                key = answer_key(rid, query_mask, fixed_mask, fixed_bits)
-                if cache_on:
-                    cached = self._cache.get(key)
-                    if cached is not None:
-                        self._remember_key(
-                            signature, (rid, query_mask, fixed_mask, fixed_bits, key)
-                        )
-                        answers[position] = cached
-                        continue
-            plan = planner.plan(query_mask | fixed_mask, exclude=self._exclude(rid))
-            group_key = (rid, plan.source_mask, plan.union_mask)
-            group = groups.get(group_key)
-            if group is None:
-                group = (planner, plan, [])
-                groups[group_key] = group
-            group[2].append(
-                (position, query_mask, fixed_mask, fixed_bits, key, memo_signature)
-            )
-        if not groups:
-            assert all(answer is not None for answer in answers)
-            return answers  # type: ignore[return-value]
+                members = groups.setdefault(
+                    (rid, plan.source_mask, plan.union_mask), (rid, planner, plan, [])
+                )[3]
+                members.append((position, query_mask, fixed_mask, fixed_bits))
+            self._batch_groups += len(groups)
+            results = self._aggregate(list(groups.values()))
+            pending = []
+            for (rid, _planner, plan, members), (aggregated, error) in zip(
+                groups.values(), results
+            ):
+                if error is None:
+                    self._assemble(aggregated, rid, plan, members, signatures, cache, answers)
+                else:
+                    state = self._degrade(state, rid, error, mask=int(error.mask))
+                    pending.extend(member[0] for member in members)
+            pending.sort()
+        return answers  # type: ignore[return-value]
 
-        # Aggregation phase: one reduction per group, concurrently when the
-        # batch spans several groups.  Output is bitwise independent of the
-        # dispatch order — each group's reduction touches only its own
-        # source cuboid.
-        group_list = list(groups.items())
-        self._batch_groups += len(group_list)
-        workers = (
-            self._batch_workers
-            if self._batch_workers is not None
-            else (os.cpu_count() or 1)
-        )
-        workers = min(workers, len(group_list))
+    def _aggregate(
+        self, groups: List[_Group]
+    ) -> List[Tuple[Optional[np.ndarray], Optional[CorruptMarginalError]]]:
+        """One reduction per group, concurrently when there are several.
 
-        def _run_aggregations() -> List[tuple]:
+        Output is bitwise independent of the dispatch order — each group's
+        reduction touches only its own source cuboid."""
+        workers = self._batch_workers if self._batch_workers is not None else (os.cpu_count() or 1)
+        workers = min(workers, len(groups))
+
+        def run() -> List[Tuple[Optional[np.ndarray], Optional[CorruptMarginalError]]]:
             if workers > 1:
                 pool = get_pool("thread", workers)
                 futures = [
-                    pool.submit(self._aggregate_group, planner, plan)
-                    for _, (planner, plan, _members) in group_list
+                    pool.submit(_aggregate_group, planner, plan) for _, planner, plan, _ in groups
                 ]
                 return [future.result() for future in futures]
-            return [
-                self._aggregate_group(planner, plan)
-                for _, (planner, plan, _members) in group_list
-            ]
+            return [_aggregate_group(planner, plan) for _, planner, plan, _ in groups]
 
-        if _obs.ENABLED:
-            with _obs.trace_span(
-                "serving.batch.aggregate", groups=len(group_list), workers=workers
-            ):
-                results = _run_aggregations()
-        else:
-            results = _run_aggregations()
+        if not _obs.ENABLED:
+            return run()
+        with _obs.trace_span("serving.batch.aggregate", groups=len(groups), workers=workers):
+            return run()
 
-        # Assembly phase, in deterministic group order: quarantines happen
-        # here (main thread), and every predicated member is answered by one
-        # vectorised gather per (group, predicate mask).
-        for ((rid, _source_mask, union_mask), (_planner, plan, members)), (
-            aggregated,
-            error,
-        ) in zip(group_list, results):
-            if error is not None:
-                self._quarantine(rid, error.mask, error)
-                # Fall back through the single-query path, which re-plans
-                # around the quarantine (and re-routes across releases when
-                # this release no longer covers the query).
-                for position, *_rest in members:
-                    answers[position] = self._query_impl(coerced[position], release_id)
-                continue
-            if _obs.ENABLED:
-                _obs.observe(
-                    "serving.batch.group_size", float(len(members)), GROUP_SIZE_BUCKETS
-                )
-            aggregated.setflags(write=False)
-            by_fixed: "OrderedDict[int, List[tuple]]" = OrderedDict()
-            for member in members:
-                if member[2] == 0:  # no predicate: share the aggregate itself
-                    answers[member[0]] = self._finish_member(
-                        member, aggregated, plan, rid, cache_on=cache_on
-                    )
-                else:
-                    by_fixed.setdefault(member[2], []).append(member)
-            for fixed_mask, fixed_members in by_fixed.items():
-                rows = slice_marginal_batch(
-                    aggregated,
-                    union_mask,
-                    fixed_mask,
-                    [member[3] for member in fixed_members],
-                )
-                rows.setflags(write=False)
-                for row, member in zip(rows, fixed_members):
-                    answers[member[0]] = self._finish_member(
-                        member, row, plan, rid, cache_on=cache_on
-                    )
-        assert all(answer is not None for answer in answers)
-        return answers  # type: ignore[return-value]
-
-    def _finish_member(
-        self,
-        member: tuple,
-        values: np.ndarray,
-        plan: QueryPlan,
+    @staticmethod
+    def _assemble(
+        aggregated: np.ndarray,
         rid: Optional[str],
-        *,
-        cache_on: bool,
-    ) -> ServedAnswer:
-        """Build, cache, and route-memoise one freshly answered batch member."""
-        _position, query_mask, fixed_mask, fixed_bits, key, signature = member
-        answer = ServedAnswer(
-            values=values,
-            query_mask=query_mask,
-            fixed_mask=fixed_mask,
-            fixed_bits=fixed_bits,
-            plan=plan,
-            release_id=rid,
-        )
-        if cache_on:
-            self._cache.put(
-                key, answer.with_provenance(release_id=rid, cached=True)
+        plan: QueryPlan,
+        members: List[_Member],
+        signatures: List[object],
+        cache: AnswerCache,
+        answers: List[Optional[ServedAnswer]],
+    ) -> None:
+        """Answer every member of one aggregated group and cache the answers.
+
+        Unpredicated members share the aggregate itself; predicated ones are
+        answered by one vectorised gather per predicate mask."""
+        if _obs.ENABLED:
+            _obs.observe("serving.batch.group_size", float(len(members)), GROUP_SIZE_BUCKETS)
+        aggregated.setflags(write=False)
+        rows: List[Tuple[_Member, np.ndarray]] = []
+        by_fixed: Dict[int, List[_Member]] = {}
+        for member in members:
+            if member[2] == 0:
+                rows.append((member, aggregated))
+            else:
+                by_fixed.setdefault(member[2], []).append(member)
+        for fixed_mask, fixed_members in by_fixed.items():
+            sliced = slice_marginal_batch(
+                aggregated, plan.union_mask, fixed_mask, [member[3] for member in fixed_members]
             )
-        self._remember_key(signature, (rid, query_mask, fixed_mask, fixed_bits, key))
-        return answer
+            sliced.setflags(write=False)
+            rows.extend(zip(fixed_members, sliced))
+        for (position, query_mask, fixed_mask, fixed_bits), values in rows:
+            answer = ServedAnswer(
+                values=values,
+                query_mask=query_mask,
+                fixed_mask=fixed_mask,
+                fixed_bits=fixed_bits,
+                plan=plan,
+                release_id=rid,
+            )
+            answers[position] = answer
+            signature = signatures[position]
+            if cache.max_entries and signature is not None:
+                # Stored pre-marked as cached so hits return them as-is.
+                cache.put(signature, answer.with_provenance(release_id=rid, cached=True))
 
     # ------------------------------------------------------------------ #
     def health(self) -> Dict[str, object]:
@@ -807,36 +691,41 @@ class QueryService:
         now come from fallback sources with wider error bars, and
         ``degraded_releases`` names releases that could not be loaded at all.
         """
+        return self._health(self._state)
+
+    @staticmethod
+    def _health(state: _ServingState) -> Dict[str, object]:
         quarantined = {
             (release_id if release_id is not None else "<in-memory>"): [
                 hex(mask) for mask in sorted(masks)
             ]
-            for release_id, masks in self._quarantined.items()
+            for release_id, masks in state.quarantined.items()
             if masks
         }
         return {
-            "ok": not quarantined and not self._degraded_releases,
-            "quarantine_events": self._quarantine_events,
+            "ok": not quarantined and not state.sidelined,
+            "quarantine_events": state.quarantine_events,
             "quarantined": quarantined,
-            "degraded_releases": dict(self._degraded_releases),
+            "degraded_releases": dict(state.sidelined),
         }
 
     def stats(self) -> Dict[str, object]:
-        """Serving counters: query volume, live planners, cache and health.
+        """Serving counters: query volume, live planners, caches and health.
 
         ``queries`` / ``batches`` / ``batched_requests`` count calls to
         :meth:`query` and :meth:`query_batch`; ``batch_groups`` counts the
-        aggregation groups those batches resolved to (lower is better: one
+        aggregation groups those calls resolved to (lower is better: one
         group answers many requests); ``planners`` is the number of
         per-release planners currently materialised; ``cache`` /
-        ``request_index`` / ``plan_cache`` are the
+        ``plan_cache`` are the
         :meth:`~repro.obs.cachestats.CacheStats.to_dict` snapshots of the
-        answer cache, the request-signature route memo, and the (summed,
+        answer cache (cumulative across epochs) and the (summed,
         per-planner) resolved-plan memo; ``health`` is the :meth:`health`
         degradation report.
         """
+        state = self._state
         plan_cache = {"hits": 0, "misses": 0, "evictions": 0}
-        for planner in list(self._planners.values()):
+        for planner in list(state.planners.values()):
             snapshot = planner.plan_stats
             plan_cache["hits"] += snapshot.hits
             plan_cache["misses"] += snapshot.misses
@@ -848,9 +737,8 @@ class QueryService:
             "batches": self._batches,
             "batched_requests": self._batched_requests,
             "batch_groups": self._batch_groups,
-            "planners": len(self._planners),
-            "cache": self._cache.stats.to_dict(),
-            "request_index": self._request_stats.to_dict(),
+            "planners": len(state.planners),
+            "cache": self._cache_stats.to_dict(),
             "plan_cache": plan_cache,
-            "health": self.health(),
+            "health": self._health(state),
         }

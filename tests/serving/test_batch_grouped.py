@@ -3,7 +3,8 @@
 The grouped ``query_batch`` path re-orders the work aggressively — one
 aggregation per (release, source cuboid, union target), one vectorised gather
 per predicate shape, concurrent dispatch of independent groups — but every
-answer must stay byte-for-byte what the plain per-query loop produces.  The
+answer must stay byte-for-byte what the plain per-query loop of
+:mod:`serial_reference` produces.  The
 property is pinned here for random schemas/workloads/predicates/batch orders,
 on a release built under retryable injected faults, with a quarantined
 cuboid in play, and (sha256-pinned) on a seeded d = 32 store round trip.
@@ -17,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from serial_reference import SerialReference
 
 from repro.core.engine import release_marginals
 from repro.data import synthetic_nltcs
@@ -105,9 +107,7 @@ class TestGroupedEqualsSerial:
         release = _build_release(masks, seed, epsilon, strategy)
         rng = np.random.default_rng(request_seed)
         requests = _random_requests(NAMES, masks, rng, count)
-        serial = QueryService(release, cache_size=0).query_batch(
-            requests, grouped=False
-        )
+        serial = SerialReference(release).answers(requests)
         grouped = QueryService(
             release, cache_size=0, batch_workers=workers
         ).query_batch(requests)
@@ -125,7 +125,6 @@ class TestGroupedEqualsSerial:
             np.testing.assert_array_equal(left.values, right.values)
         stats = service.stats()
         assert stats["plan_cache"]["hits"] >= 2  # second batch re-used the plans
-        assert stats["request_index"]["hits"] >= 3  # ... and the resolved routes
 
 
 class TestDegradedBatch:
@@ -161,10 +160,8 @@ class TestDegradedBatch:
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            serial_service = QueryService(
-                ReleaseStore(v2_store.root, create=False), cache_size=0
-            )
-            serial = serial_service.query_batch(requests, grouped=False)
+            reference = SerialReference(ReleaseStore(v2_store.root, create=False))
+            serial = reference.answers(requests)
             grouped_service = QueryService(
                 ReleaseStore(v2_store.root, create=False),
                 cache_size=0,
@@ -173,8 +170,10 @@ class TestDegradedBatch:
             grouped = grouped_service.query_batch(requests)
         assert _answers_digest(grouped) == _answers_digest(serial)
         assert any(answer.degraded for answer in grouped)
-        assert not serial_service.health()["ok"]
         assert not grouped_service.health()["ok"]
+        assert grouped_service.health()["quarantined"] == {
+            "r1": [hex(mask) for mask in sorted(reference.quarantined["r1"])]
+        }
 
 
 class TestFaultedBuildBatch:
@@ -201,9 +200,7 @@ class TestFaultedBuildBatch:
         requests = _random_requests(
             names, [query.mask for query in workload.queries], rng, 40
         )
-        serial = QueryService(
-            ReleaseStore(store.root, create=False), cache_size=0
-        ).query_batch(requests, grouped=False)
+        serial = SerialReference(ReleaseStore(store.root, create=False)).answers(requests)
         grouped = QueryService(
             ReleaseStore(store.root, create=False), cache_size=0, batch_workers=2
         ).query_batch(requests)
@@ -261,9 +258,7 @@ class TestWideStorePin:
         )
         requests = self._requests()
         grouped = service.query_batch(requests)
-        serial = QueryService(
-            ReleaseStore(store.root, create=False), cache_size=0
-        ).query_batch(requests, grouped=False)
+        serial = SerialReference(ReleaseStore(store.root, create=False)).answers(requests)
         digest = _answers_digest(grouped)
         assert digest == _answers_digest(serial)
         assert digest == self.EXPECTED

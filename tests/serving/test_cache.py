@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ServingError
-from repro.serving.cache import AnswerCache, answer_key
+from repro.serving.cache import AnswerCache
 from repro.serving.planner import QueryPlan, ServedAnswer
 
 
@@ -19,18 +19,10 @@ def make_answer(mask: int) -> ServedAnswer:
     return ServedAnswer(values=values, query_mask=mask, fixed_mask=0, fixed_bits=0, plan=plan)
 
 
-class TestAnswerKey:
-    def test_distinct_components_distinct_keys(self):
-        assert answer_key("r", 1) != answer_key("r", 2)
-        assert answer_key("r", 1) != answer_key("s", 1)
-        assert answer_key("r", 1, 2, 0) != answer_key("r", 1, 2, 2)
-        assert answer_key(None, 1) != answer_key("r", 1)
-
-
 class TestAnswerCache:
     def test_hit_miss_counters(self):
         cache = AnswerCache(4)
-        key = answer_key("r", 1)
+        key = ("r", 1)
         assert cache.get(key) is None
         cache.put(key, make_answer(1))
         assert cache.get(key) is not None
@@ -41,7 +33,7 @@ class TestAnswerCache:
 
     def test_lru_eviction_order(self):
         cache = AnswerCache(2)
-        k1, k2, k3 = (answer_key("r", m) for m in (1, 2, 3))
+        k1, k2, k3 = (("r", m) for m in (1, 2, 3))
         cache.put(k1, make_answer(1))
         cache.put(k2, make_answer(2))
         cache.get(k1)  # refresh k1 so k2 becomes the LRU entry
@@ -53,7 +45,7 @@ class TestAnswerCache:
 
     def test_put_refreshes_existing_key(self):
         cache = AnswerCache(2)
-        k1, k2, k3 = (answer_key("r", m) for m in (1, 2, 3))
+        k1, k2, k3 = (("r", m) for m in (1, 2, 3))
         cache.put(k1, make_answer(1))
         cache.put(k2, make_answer(2))
         cache.put(k1, make_answer(1))  # refresh, no eviction
@@ -63,7 +55,7 @@ class TestAnswerCache:
 
     def test_zero_capacity_disables_caching(self):
         cache = AnswerCache(0)
-        key = answer_key("r", 1)
+        key = ("r", 1)
         cache.put(key, make_answer(1))
         assert len(cache) == 0
         assert cache.get(key) is None
@@ -74,7 +66,7 @@ class TestAnswerCache:
 
     def test_clear_keeps_counters_reset_zeroes_them(self):
         cache = AnswerCache(4)
-        key = answer_key("r", 1)
+        key = ("r", 1)
         cache.put(key, make_answer(1))
         cache.get(key)
         cache.clear()

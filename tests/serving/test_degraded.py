@@ -19,6 +19,7 @@ import pytest
 
 from repro.cli import main
 from repro.exceptions import CorruptMarginalError, ServingError
+from repro.net.protocol import answer_payload, encode_canonical
 from repro.serving.service import QueryService
 from repro.serving.store import ReleaseStore
 
@@ -132,6 +133,40 @@ class TestQuarantine:
             warnings.simplefilter("ignore")
             with pytest.raises(ServingError, match="quarantined"):
                 service.query(["a", "b"])
+
+    def test_a_quarantine_off_the_chosen_source_does_not_degrade(
+        self, store, release
+    ):
+        # Regression: ``degraded`` used to be set whenever any quarantined
+        # cuboid dominated the query, even when the chosen source was still
+        # the healthy optimum — so the served bytes depended on whether the
+        # answer came from the cache.
+        rid = store.put(release)
+        clean = QueryService(store).query(["a"])
+        other = next(
+            position
+            for position, query in enumerate(release.workload.queries)
+            if query.mask & 1 and position != clean.plan.source_position
+        )
+        _corrupt_in_place(store.root, rid, other, release)
+        corrupt_pair = list(
+            release.workload.schema.attributes_of_mask(release.workload.queries[other].mask)
+        )
+        served = {}
+        for cache_size in (1024, 0):
+            service = QueryService(ReleaseStore(store.root, create=False), cache_size=cache_size)
+            service.query(["a"])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(ServingError, match="quarantined"):
+                    service.query(corrupt_pair)  # the corrupt cuboid's only cover
+            assert not service.health()["ok"]
+            answer = service.query(["a"])
+            assert not answer.degraded
+            payload = answer_payload(answer)
+            payload.pop("cached")
+            served[cache_size] = encode_canonical(payload)
+        assert served[1024] == served[0]
 
     def test_invalidate_clears_the_quarantine(self, store, release):
         rid = store.put(release)

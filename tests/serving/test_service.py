@@ -168,31 +168,25 @@ class TestRouting:
         assert service.query(["a"]).release_id == "singles"
 
     def test_request_key_lru_eviction_order(self, store):
-        # Regression: the signature memo is an exact LRU now — each insert
-        # past capacity evicts exactly the least recently *used* entry, and
-        # a lookup refreshes recency.  (Earlier revisions dropped the oldest
-        # half wholesale, which made live signatures miss in bursts.)
-        service = QueryService(store)
-        service._request_keys_cap = 4
+        # The answer cache is an exact LRU keyed on the request signature:
+        # each insert past capacity evicts exactly the least recently *used*
+        # entry, and a hit refreshes recency.  (Earlier revisions dropped the
+        # oldest half wholesale, which made live signatures miss in bursts.)
+        service = QueryService(store, cache_size=4)
         masks = list(store.get("r1").workload.masks)
         for mask in masks[:4]:
             service.query(mask=mask)
-        assert len(service._request_keys) == 4
-        signatures = list(service._request_keys)
+        assert len(service.cache) == 4
         # Touch the oldest entry: it becomes the most recent.
-        service.query(mask=masks[0])
-        assert list(service._request_keys) == signatures[1:] + signatures[:1]
+        assert service.query(mask=masks[0]).cached
         # The next new signature evicts exactly one entry — the LRU (masks[1]).
         service.query(mask=masks[4])
-        assert len(service._request_keys) == 4
-        assert signatures[1] not in service._request_keys
-        for kept in (signatures[0], *signatures[2:]):
-            assert kept in service._request_keys
-        assert service._request_stats.evictions == 1
-        # Retained signatures still serve from the fast path (answer cached).
-        hit = service.query(mask=masks[0])
-        assert hit.cached
-        assert service._request_stats.hits >= 2
+        assert len(service.cache) == 4
+        assert service.stats()["cache"]["evictions"] == 1
+        for kept in (masks[0], masks[2], masks[3], masks[4]):
+            assert service.query(mask=kept).cached
+        assert service.stats()["cache"]["evictions"] == 1
+        assert not service.query(mask=masks[1]).cached
 
 
 class TestBatching:

@@ -7,6 +7,7 @@ examples rely on) so refactors cannot silently break downstream users.
 from __future__ import annotations
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +64,17 @@ class TestTopLevelExports:
     def test_version_string(self):
         assert isinstance(repro.__version__, str)
         assert repro.__version__.count(".") == 2
+
+    def test_version_is_defined_once(self):
+        tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = tomllib.loads(text)
+        assert "version" not in project["project"]
+        assert "version" in project["project"]["dynamic"]
+        assert project["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
+        assert repro.__version__ not in text
 
 
 class TestSubpackageImports:
