@@ -12,30 +12,13 @@ demand that the two implementations agree bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Union
 
 from repro.core.result import ReleaseResult
 from repro.exceptions import CorruptMarginalError, ReproError, ServingError
 from repro.serving.planner import QueryPlanner, ServedAnswer
-from repro.serving.service import QueryRequest, resolve_predicate
+from repro.serving.service import QueryRequest, _coerce_request, resolve_predicate
 from repro.serving.store import ReleaseStore
-
-
-def _as_request(request) -> QueryRequest:
-    if isinstance(request, QueryRequest):
-        return request
-    if isinstance(request, int):
-        return QueryRequest(mask=request)
-    if isinstance(request, str):
-        return QueryRequest(attributes=(request,))
-    if isinstance(request, Mapping):
-        attributes = request.get("attributes")
-        return QueryRequest(
-            attributes=tuple(attributes) if attributes is not None else None,
-            mask=request.get("mask"),
-            where=request.get("where"),
-        )
-    return QueryRequest(attributes=tuple(request))
 
 
 class SerialReference:
@@ -72,7 +55,7 @@ class SerialReference:
             candidates = [release_id]
         else:
             candidates = list(reversed(self._store.release_ids()))
-        return [self._answer(_as_request(r), candidates) for r in requests]
+        return [self._answer(_coerce_request(r), candidates) for r in requests]
 
     def _answer(self, request: QueryRequest, candidates) -> ServedAnswer:
         while True:  # each corrupt source found restarts routing around it
