@@ -11,9 +11,13 @@ Three claims of the storage tier (``repro.store``) are measured:
   of the shard files with per-shard page release, so RSS stays flat while
   every byte on disk is scanned (and, in ``--quick`` mode, the released
   values are verified bitwise against the fully in-memory pipeline);
-* **v2 serving layout** — the same release stored in the v1 archive layout
-  and the v2 raw-``.npy`` layout; a cold open + first query from v2 must
-  beat v1 (v1 decompresses the whole archive, v2 maps one vector).
+* **store layout rule** — ``ReleaseStore.put`` writes the v1 archive for
+  small marginal vectors and raw v2 ``.npy`` files for large ones
+  (``V2_MIN_VECTOR_BYTES``); the layout the store chose for the release is
+  reported, and put + cold open+first query are timed in both layouts at a
+  small (32 B x 496) and a large (512 KiB x 15) vector size, forced through
+  that constant.  The full run asserts the rule's pick is the faster one at
+  both sizes.
 
 Usage::
 
@@ -25,9 +29,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import resource
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -41,9 +47,10 @@ try:  # pragma: no cover - import shim for uninstalled checkouts
 except ModuleNotFoundError:  # pragma: no cover
     sys.path.insert(0, str(_SRC))
 
-from repro.core.engine import MarginalReleaseEngine  # noqa: E402
+from repro.core.engine import MarginalReleaseEngine, release_marginals  # noqa: E402
 from repro.domain import Schema  # noqa: E402
 from repro.queries import MarginalQuery, MarginalWorkload  # noqa: E402
+from repro.serving import store as store_module  # noqa: E402
 from repro.serving.service import QueryService  # noqa: E402
 from repro.serving.store import ReleaseStore  # noqa: E402
 from repro.shards import StreamingSourceBuilder  # noqa: E402
@@ -51,6 +58,10 @@ from repro.sources import RecordSource  # noqa: E402
 from repro.store import open_source, parse_memory_budget, read_manifest  # noqa: E402
 
 RESULTS_PATH = Path(__file__).resolve().parent / "results" / "oocore.json"
+
+#: (bits per attribute, attributes) of the all-pairs releases timed in both
+#: layouts: 4-cell (32 B) x 496 and 65536-cell (512 KiB) x 15 vectors.
+LAYOUT_SIZES = {"small": (1, 32), "large": (8, 6)}
 
 
 def peak_rss_mib() -> float:
@@ -110,33 +121,78 @@ def ingest_to_store(
     }
 
 
-def serving_comparison(result, schema, base: Path, reps: int) -> dict:
-    """Store the release in both layouts; time cold open + first query."""
-    timings = {}
-    for layout in ("v1", "v2"):
-        root = base / f"store-{layout}"
-        store = ReleaseStore(root, store_format=layout)
-        start = time.perf_counter()
-        release_id = store.put(result)
-        put_seconds = time.perf_counter() - start
-        cold = []
-        for _ in range(reps):
-            start = time.perf_counter()
-            service = QueryService(ReleaseStore(root, create=False))
-            answer = service.query(["a00"], release_id=release_id)
-            cold.append(time.perf_counter() - start)
-        timings[layout] = {
-            "put_seconds": put_seconds,
-            "cold_open_query_seconds": min(cold),
-            "total_value": float(np.sum(answer.values)),
-        }
-    timings["v2_speedup_cold"] = (
-        timings["v1"]["cold_open_query_seconds"]
-        / timings["v2"]["cold_open_query_seconds"]
+@contextlib.contextmanager
+def forced_layout(layout: str):
+    """Make ``ReleaseStore.put`` write ``layout`` whatever the vector size."""
+    saved = store_module.V2_MIN_VECTOR_BYTES
+    store_module.V2_MIN_VECTOR_BYTES = {"v1": float("inf"), "v2": 0}[layout]
+    try:
+        yield
+    finally:
+        store_module.V2_MIN_VECTOR_BYTES = saved
+
+
+def pair_release(bits: int, attributes: int, seed: int):
+    """All 2-way cuboids over ``attributes`` groups of ``bits`` binary columns."""
+    d = bits * attributes
+    schema = Schema.binary([f"b{i:02d}" for i in range(d)])
+    group = (1 << bits) - 1
+    masks = [
+        (group << (i * bits)) | (group << (j * bits))
+        for i in range(attributes)
+        for j in range(i + 1, attributes)
+    ]
+    workload = MarginalWorkload(
+        schema, [MarginalQuery(mask, d) for mask in masks], name=f"pairs-{bits}x{attributes}"
     )
-    # Identical answers from both layouts — the layout is pure representation.
-    assert timings["v1"]["total_value"] == timings["v2"]["total_value"]
-    return timings
+    codes = np.random.default_rng(seed).integers(0, 1 << d, 4000, dtype=np.int64)
+    return release_marginals(
+        RecordSource(codes, dimension=d), workload, 1.0, strategy="Q",
+        consistency=False, rng=seed,
+    )
+
+
+def time_layout(release, root: Path, rounds: int) -> dict:
+    """Medians of ``rounds`` put / cold open + first query / delete rounds."""
+    name = release.workload.schema.attributes[0].name
+    store = ReleaseStore(root)
+    puts, opens = [], []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        release_id = store.put(release)
+        puts.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        service = QueryService(ReleaseStore(root, create=False))
+        answer = service.query([name], release_id=release_id)
+        opens.append(time.perf_counter() - start)
+        layout = store.metadata(release_id)["layout"]
+        store.delete(release_id)
+    return {
+        "layout": layout,
+        "put_seconds": statistics.median(puts),
+        "cold_open_query_seconds": statistics.median(opens),
+        "values": answer.values.tolist(),
+    }
+
+
+def serving_comparison(result, base: Path, rounds: int, seed: int) -> dict:
+    """The layout chosen for ``result``; both layouts timed at two vector sizes."""
+    store = ReleaseStore(base / "store-release")
+    chosen = store.metadata(store.put(result))["layout"]
+    sizes = {}
+    for size, (bits, attributes) in LAYOUT_SIZES.items():
+        release = pair_release(bits, attributes, seed)
+        timings = {"rule": time_layout(release, base / f"store-{size}-rule", 1)["layout"]}
+        for layout in ("v1", "v2"):
+            with forced_layout(layout):
+                timings[layout] = time_layout(release, base / f"store-{size}-{layout}", rounds)
+            assert timings[layout]["layout"] == layout
+        # Identical answers from both layouts — the layout is pure representation.
+        assert timings["v1"].pop("values") == timings["v2"].pop("values")
+        timings["vector_bytes"] = int(release.marginals[0].nbytes)
+        timings["vectors"] = len(release.marginals)
+        sizes[size] = timings
+    return {"chosen_layout": chosen, "sizes": sizes}
 
 
 def main(argv=None) -> int:
@@ -155,12 +211,12 @@ def main(argv=None) -> int:
         d, rows, batch_size = 24, 200_000, 20_000
         budget = args.budget or "1M"
         wide_masks, wide_bits = 2, 10
-        serve_reps = 1
+        serve_rounds = 3
     else:
         d, rows, batch_size = 36, 176_000_000, 1_000_000
         budget = args.budget or "256M"
         wide_masks, wide_bits = 6, 16
-        serve_reps = 3
+        serve_rounds = 12
     if args.rows is not None:
         rows = args.rows
     budget_bytes = parse_memory_budget(budget)
@@ -198,7 +254,7 @@ def main(argv=None) -> int:
                 assert np.array_equal(ours, exact), "out-of-core release diverged"
             print("quick: spilled+mapped release is bitwise identical to in-memory")
 
-        serving = serving_comparison(result, workload.schema, base, serve_reps)
+        serving = serving_comparison(result, base, serve_rounds, args.seed)
         final_rss = peak_rss_mib()
 
         report = {
@@ -241,11 +297,17 @@ def main(argv=None) -> int:
             f"(budget {budget_bytes / (1 << 20):.0f} MiB, dataset "
             f"{report['dataset_to_budget_ratio']:.1f}x budget)"
         )
-        print(
-            f"serving cold open+query: v1 {serving['v1']['cold_open_query_seconds'] * 1e3:.1f} ms, "
-            f"v2 {serving['v2']['cold_open_query_seconds'] * 1e3:.1f} ms "
-            f"({serving['v2_speedup_cold']:.1f}x)"
-        )
+        print(f"release stored as {serving['chosen_layout']}")
+        for size, timing in serving["sizes"].items():
+            print(
+                f"{size} ({timing['vector_bytes']} B x {timing['vectors']}, rule "
+                f"picks {timing['rule']}): put / cold open+query "
+                + ", ".join(
+                    f"{layout} {timing[layout]['put_seconds'] * 1e3:.1f} / "
+                    f"{timing[layout]['cold_open_query_seconds'] * 1e3:.1f} ms"
+                    for layout in ("v1", "v2")
+                )
+            )
 
         if not args.quick:
             assert report["dataset_to_budget_ratio"] >= 10.0, (
@@ -259,10 +321,15 @@ def main(argv=None) -> int:
                 f"{baseline_rss:.0f} MiB baseline, exceeding the "
                 f"{budget_bytes / (1 << 20):.0f} MiB budget"
             )
-            assert serving["v2_speedup_cold"] > 1.0, (
-                "v2 cold open+query was not faster than v1 "
-                f"({serving['v2_speedup_cold']:.2f}x)"
-            )
+            for size, timing in serving["sizes"].items():
+                seconds = {
+                    layout: timing[layout]["put_seconds"]
+                    + timing[layout]["cold_open_query_seconds"]
+                    for layout in ("v1", "v2")
+                }
+                assert seconds[timing["rule"]] == min(seconds.values()), (
+                    f"{size} vectors: the layout rule picked the slower layout {seconds}"
+                )
             RESULTS_PATH.parent.mkdir(exist_ok=True)
             RESULTS_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
             print(f"wrote {RESULTS_PATH}")

@@ -1,17 +1,15 @@
 """Command-line interface: private release and query serving.
 
-Three entry styles share one ``main``:
+Subcommands share one ``main``:
 
-* the classic flag-only form (kept for compatibility)::
-
-      python -m repro --input survey.csv --k 2 --epsilon 0.5 --strategy F \
-          --output released/
-
-* ``release`` — same release pipeline, optionally persisting the result into
-  a :class:`~repro.serving.store.ReleaseStore`::
+* ``release`` — the release pipeline, optionally writing the marginals as
+  CSVs and persisting the result into a
+  :class:`~repro.serving.store.ReleaseStore`; the classic flag-only form
+  (no subcommand) is an alias of it::
 
       python -m repro release --input survey.csv --k 2 --epsilon 0.5 \
           --out store/
+      python -m repro --input survey.csv --k 2 --strategy F --output released/
 
 * ``query`` — answer marginal / point / slice queries from a store, with
   per-cell error bars, at zero additional privacy cost::
@@ -83,8 +81,19 @@ from repro.serving.store import ReleaseStore
 from repro.utils.bits import bit_indices
 
 
-def _add_release_arguments(parser: argparse.ArgumentParser) -> None:
-    """Arguments shared by the legacy form and the ``release`` subcommand."""
+def build_release_parser() -> argparse.ArgumentParser:
+    """Parser of the ``release`` subcommand (and of the flag-only form).
+
+    Abbreviations are disabled so that e.g. a truncated ``--out`` cannot
+    silently match ``--output`` and write CSV files where a store was
+    expected.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro release",
+        description="Release marginals under differential privacy, optionally "
+        "persisting them into a queryable release store.",
+        allow_abbrev=False,
+    )
     parser.add_argument("--input", required=True, help="path to the input CSV file")
     parser.add_argument(
         "--columns",
@@ -213,33 +222,6 @@ def _add_release_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="directory for the released marginal CSVs (default: print a summary only)",
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The flag-only release parser (exposed separately for testing and docs).
-
-    Abbreviations are disabled so that e.g. a mistyped ``--out`` (a
-    ``release``-subcommand flag) errors instead of silently matching
-    ``--output`` and writing CSV files where a store was expected.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Differentially private release of marginals from a categorical CSV file.",
-        allow_abbrev=False,
-    )
-    _add_release_arguments(parser)
-    return parser
-
-
-def build_release_parser() -> argparse.ArgumentParser:
-    """Parser of the ``release`` subcommand (legacy flags plus store options)."""
-    parser = argparse.ArgumentParser(
-        prog="repro release",
-        description="Release marginals under differential privacy and persist them "
-        "into a queryable release store.",
-        allow_abbrev=False,
-    )
-    _add_release_arguments(parser)
     parser.add_argument(
         "--out",
         default=None,
@@ -254,15 +236,6 @@ def build_release_parser() -> argparse.ArgumentParser:
         "--overwrite",
         action="store_true",
         help="replace an existing release with the same id",
-    )
-    parser.add_argument(
-        "--store-format",
-        default=None,
-        choices=["v1", "v2"],
-        help="on-disk layout for --out: v1 packs the marginals into one "
-        "compressed archive (the default, readable by older builds); v2 "
-        "writes one raw .npy per marginal so queries memory-map vectors "
-        "straight off the page cache",
     )
     return parser
 
@@ -306,8 +279,9 @@ def build_query_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="answer a JSON-lines file of queries through the grouped batch "
         "path instead: each line is an object with optional 'attributes', "
-        "'mask' and 'where' keys; answers are printed as JSON lines (request "
-        "order) and a timing summary goes to stderr",
+        "'mask', 'where' and 'release' keys (as in the HTTP API); answers are "
+        "printed as JSON lines (request order) and a timing summary goes to "
+        "stderr",
     )
     return parser
 
@@ -712,7 +686,7 @@ def _stream_input(args: argparse.Namespace):
 
 
 def _run_release(args: argparse.Namespace):
-    """Shared release pipeline of the legacy form and the ``release`` subcommand.
+    """The release pipeline behind ``release`` and the flag-only form.
 
     With ``--explain`` the execution plan is printed and no release is
     performed (``result`` is then ``None``).  With ``--trace`` the release
@@ -789,23 +763,6 @@ def _emit_trace(args: argparse.Namespace, recorder) -> None:
         print(text)
 
 
-def _main_legacy(argv: Optional[Sequence[str]]) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        dataset, result, recorder = _run_release(args)
-        if result is None:  # --explain: the plan was printed instead
-            return 0
-        print(_summary(dataset, result))
-        if args.output is not None:
-            written = _write_outputs(dataset, result, Path(args.output))
-            print(f"wrote {len(written)} marginal files to {args.output}")
-        _emit_trace(args, recorder)
-        return 0
-    except (ReproError, OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-
 def _main_release(argv: Sequence[str]) -> int:
     args = build_release_parser().parse_args(argv)
     try:
@@ -819,12 +776,9 @@ def _main_release(argv: Sequence[str]) -> int:
         if args.out is not None:
             store = ReleaseStore(args.out)
             release_id = store.put(
-                result,
-                release_id=args.release_id,
-                overwrite=args.overwrite,
-                store_format=args.store_format,
+                result, release_id=args.release_id, overwrite=args.overwrite
             )
-            layout = args.store_format or store.store_format
+            layout = store.metadata(release_id)["layout"]
             print(f"stored release {release_id!r} in {args.out} ({layout} layout)")
         _emit_trace(args, recorder)
         return 0
@@ -848,7 +802,7 @@ def _parse_where(clauses: Sequence[str]) -> Dict[str, str]:
     return where
 
 
-def _query_payload(answer, schema: Schema, attributes: Sequence[str], where) -> Dict[str, object]:
+def _query_payload(answer, schema: Schema, where) -> Dict[str, object]:
     free_names = schema.attributes_of_mask(answer.query_mask)
     cells = [
         {"labels": labels, "value": value}
@@ -865,42 +819,52 @@ def _query_payload(answer, schema: Schema, attributes: Sequence[str], where) -> 
     }
 
 
-def _read_batch_requests(path: str) -> List[Dict[str, object]]:
-    """Parse a JSON-lines batch-query file (blank and ``#`` lines skipped)."""
-    requests: List[Dict[str, object]] = []
+def _read_batch_requests(path: str, release: Optional[str]):
+    """Parse a JSON-lines batch-query file into ``(requests, pinned release)``.
+
+    Each line is validated by the HTTP API's query parser; blank and ``#``
+    lines are skipped.  ``--release`` pins every line that names no release;
+    as in ``/v1/query/batch``, all lines must then pin the same release (or
+    none).
+    """
+    from repro.net.http import ProtocolError
+    from repro.net.protocol import parse_query_payload
+
+    requests = []
+    batch_pin, pinned_by = release, "--release"
     for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            payload = json.loads(line)
+            request, pin = parse_query_payload(json.loads(line))
         except json.JSONDecodeError as error:
             raise ReproError(f"{path}:{number} is not valid JSON: {error}") from error
-        if not isinstance(payload, dict):
+        except ProtocolError as error:
+            raise ReproError(f"{path}:{number}: {error}") from error
+        pin = release if pin is None else pin
+        if not requests and release is None:
+            batch_pin, pinned_by = pin, f"line {number}"
+        elif pin != batch_pin:
+            ours, theirs = ("no release" if p is None else repr(p) for p in (pin, batch_pin))
             raise ReproError(
-                f"{path}:{number}: each batch line must be a JSON object with "
-                "optional 'attributes', 'mask' and 'where' keys"
+                f"{path}:{number}: pins {ours} but {pinned_by} pins {theirs}; all "
+                "queries in a batch must pin the same release (or none)"
             )
-        requests.append(payload)
+        requests.append(request)
     if not requests:
         raise ReproError(f"batch file {path} contains no queries")
-    return requests
+    return requests, batch_pin
 
 
 def _main_query_batch(service: QueryService, args: argparse.Namespace) -> int:
-    requests = _read_batch_requests(args.batch)
+    requests, release_id = _read_batch_requests(args.batch, args.release)
     start = time.perf_counter()
-    answers = service.query_batch(requests, release_id=args.release)
+    answers = service.query_batch(requests, release_id=release_id)
     elapsed = time.perf_counter() - start
     for request, answer in zip(requests, answers):
         schema = service.planner(answer.release_id).release.workload.schema
-        payload = _query_payload(
-            answer,
-            schema,
-            request.get("attributes") or [],  # type: ignore[arg-type]
-            request.get("where"),
-        )
-        print(json.dumps(payload))
+        print(json.dumps(_query_payload(answer, schema, request.where)))
     stats = service.stats()
     plan_cache = stats["plan_cache"]  # type: ignore[index]
     qps = len(answers) / elapsed if elapsed > 0 else float("inf")
@@ -934,7 +898,7 @@ def _main_query(argv: Sequence[str]) -> int:
         )
         schema = service.planner(answer.release_id).release.workload.schema
         if args.json:
-            print(json.dumps(_query_payload(answer, schema, args.attributes, where), indent=2))
+            print(json.dumps(_query_payload(answer, schema, where), indent=2))
             return 0
         free_names = schema.attributes_of_mask(answer.query_mask)
         source_names = schema.attributes_of_mask(answer.plan.source_mask)
@@ -964,19 +928,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code.
 
     Dispatches on an optional leading subcommand (``release`` / ``query`` /
-    ``stats`` / ``serve``); anything else falls through to the classic
-    flag-only release interface.
+    ``stats`` / ``serve``); anything else is the flag-only form, an alias of
+    ``release``.
     """
     arguments = list(argv) if argv is not None else sys.argv[1:]
-    if arguments and arguments[0] == "release":
-        return _main_release(arguments[1:])
-    if arguments and arguments[0] == "query":
-        return _main_query(arguments[1:])
-    if arguments and arguments[0] == "stats":
-        return _main_stats(arguments[1:])
-    if arguments and arguments[0] == "serve":
-        return _main_serve(arguments[1:])
-    return _main_legacy(arguments if argv is not None else None)
+    commands = {
+        "release": _main_release,
+        "query": _main_query,
+        "stats": _main_stats,
+        "serve": _main_serve,
+    }
+    if arguments and arguments[0] in commands:
+        return commands[arguments[0]](arguments[1:])
+    return _main_release(arguments)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -238,8 +238,8 @@ class WorkloadFourierIndex:
 
         One gather + batched inverse butterfly + scale per order group
         (Theorem 4.1(2)); the returned list is in workload order and bitwise
-        identical to per-query :func:`repro.transforms.hadamard.marginal_from_fourier`
-        calls.  ``covered`` (when given) marks which coefficients were fitted;
+        identical to a per-query small inverse butterfly of the dominated
+        coefficients scaled by ``2**(d/2 - ||alpha||)``.  ``covered`` (when given) marks which coefficients were fitted;
         a query needing an unfitted coefficient raises ``KeyError`` like the
         scalar reconstruction.
         """

@@ -23,11 +23,14 @@ but the whole archive is decompressed on open.  The **v2** layout stores
 each vector as a raw aligned ``.npy`` file that :meth:`ReleaseStore.get`
 opens with ``mmap_mode="r"`` — a cold open touches no data pages, and
 :class:`~repro.serving.service.QueryService` serves slices straight off the
-page cache.  Both layouts are written staged-then-rename, so a crashed put
-leaves the store fully old, never torn.
+page cache.  :meth:`ReleaseStore.put` picks the layout from the release
+itself: many small vectors cost less as one archive than as many files, large
+vectors cost less mapped (see :data:`V2_MIN_VECTOR_BYTES`).  Both layouts are
+written staged-then-rename, so a crashed put leaves the store fully old,
+never torn.
 
 The store-level ``index.json`` caches per-release summaries (released masks,
-strategy, budget) so that queries can be routed to a covering release without
+strategy, budget, layout) so that queries can be routed to a covering release without
 opening every ``meta.json``; it is an optimisation only and is rebuilt from
 the per-release files whenever it is missing or stale.
 """
@@ -55,9 +58,8 @@ from repro.utils.bits import dominated_by
 
 STORE_FORMAT_VERSION = 2
 
-#: Marginal-vector layouts a release can be written with.
-STORE_LAYOUTS = ("v1", "v2")
-DEFAULT_STORE_LAYOUT = "v1"
+#: Mean marginal-vector bytes from which ``put`` writes the v2 layout.
+V2_MIN_VECTOR_BYTES = 16384  # put + open+query tie here; v1 wins at 8 KiB, v2 at 32 KiB (README)
 
 _INDEX_FILE = "index.json"
 _META_FILE = "meta.json"
@@ -71,11 +73,106 @@ def _marginal_keys(count: int) -> List[str]:
     return [_MARGINAL_KEY.format(position=position) for position in range(count)]
 
 
-def check_store_layout(layout: str) -> str:
-    """Validate a marginal-vector layout name."""
-    if layout not in STORE_LAYOUTS:
-        raise ServingError(f"unknown store layout {layout!r}; choose one of {STORE_LAYOUTS}")
-    return layout
+def _layout_for(arrays: List[np.ndarray]) -> str:
+    """The layout ``put`` writes: v2 for large vectors, v1 for small ones."""
+    mean_bytes = sum(array.nbytes for array in arrays) / max(len(arrays), 1)
+    return "v2" if mean_bytes >= V2_MIN_VECTOR_BYTES else "v1"
+
+
+def _layout_of(meta: Dict[str, object]) -> str:
+    """The layout a stored release was written in (pre-v2 releases are v1)."""
+    return str(meta.get("marginals_layout", "v1"))
+
+
+def _read_marginals(
+    directory: Path, release_id: str, meta: Dict[str, object]
+) -> List[np.ndarray]:
+    """Read one release's marginal vectors in whichever layout it was written."""
+    masks = [int(mask) for mask in meta["workload"]["masks"]]  # type: ignore[index, call-overload]
+    if _layout_of(meta) == "v2":
+        return _map_vectors(directory, release_id, masks)
+    return _read_archive(directory, release_id, masks)
+
+
+def _read_archive(directory: Path, release_id: str, masks: List[int]) -> List[np.ndarray]:
+    """Read the v1 NPZ archive: one pass, each array read exactly once."""
+    marginals_path = directory / _MARGINALS_FILE
+    if not marginals_path.exists():
+        raise ServingError(f"release {release_id!r} is missing {_MARGINALS_FILE}")
+    marginals: List[np.ndarray] = []
+    try:
+        archive_cm = np.load(marginals_path)
+    except (zipfile.BadZipFile, ValueError, OSError) as error:
+        raise CorruptMarginalError(
+            f"release {release_id!r} archive {marginals_path} is truncated "
+            f"or corrupt: {error}",
+            release_id=release_id,
+        ) from error
+    with archive_cm as archive:
+        for key, mask in zip(_marginal_keys(len(masks)), masks):
+            if key not in archive:
+                raise DataError(
+                    f"release {release_id!r} archive is missing marginal "
+                    f"array {key!r} for cuboid {mask:#x}"
+                )
+            try:
+                marginals.append(archive[key])
+            except (zipfile.BadZipFile, ValueError, OSError) as error:
+                raise CorruptMarginalError(
+                    f"marginal array {key!r} (cuboid {mask:#x}) of release "
+                    f"{release_id!r} is truncated or corrupt: {error}",
+                    mask=mask,
+                    release_id=release_id,
+                ) from error
+    return marginals
+
+
+def _map_vectors(directory: Path, release_id: str, masks: List[int]) -> List[np.ndarray]:
+    """Map the v2 raw ``.npy`` vectors — no data pages are touched."""
+    vectors = directory / _MARGINALS_DIR
+    if not vectors.is_dir():
+        raise ServingError(f"release {release_id!r} is missing {_MARGINALS_DIR}/")
+    marginals: List[np.ndarray] = []
+    bytes_mapped = 0
+    for key, mask in zip(_marginal_keys(len(masks)), masks):
+        path = vectors / f"{key}.npy"
+        if not path.exists():
+            raise DataError(
+                f"release {release_id!r} is missing marginal array {key!r} "
+                f"for cuboid {mask:#x}"
+            )
+        try:
+            vector = np.load(path, mmap_mode="r")
+        except (ValueError, OSError) as error:
+            # A short-read .npy (torn copy, bad disk) fails the mmap
+            # header/size check with a bare numpy ValueError; name the
+            # cuboid so the service can quarantine exactly this vector.
+            raise CorruptMarginalError(
+                f"marginal file {path} (cuboid {mask:#x}) of release "
+                f"{release_id!r} is truncated or corrupt — {error}",
+                mask=mask,
+                release_id=release_id,
+            ) from error
+        bytes_mapped += int(vector.nbytes)
+        marginals.append(vector)
+    if _obs.ENABLED:
+        _obs.counter_inc("store.opens")
+        _obs.gauge_set("store.bytes_mapped", float(bytes_mapped))
+    return marginals
+
+
+def _unreadable_report(release_id: str, error: object) -> Dict[str, object]:
+    """A :meth:`ReleaseStore.verify` report for a release whose metadata is unreadable."""
+    return {
+        "release_id": release_id,
+        "layout": "unknown",
+        "marginals": 0,
+        "verified": 0,
+        "ok": False,
+        "corrupt": [
+            {"position": None, "mask": None, "error": f"unreadable release metadata: {error}"}
+        ],
+    }
 
 
 def _write_json_atomic(path: Path, payload: Dict[str, object]) -> None:
@@ -94,20 +191,9 @@ class ReleaseStore:
         Store directory; created (with parents) unless ``create=False``.
     create:
         Whether a missing root directory is an error.
-    store_format:
-        Default marginal-vector layout for :meth:`put` — ``"v1"``
-        (compressed NPZ) or ``"v2"`` (raw ``.npy`` files served via
-        memmap).  Reading always supports both.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        *,
-        create: bool = True,
-        store_format: str = DEFAULT_STORE_LAYOUT,
-    ):
-        self._store_format = check_store_layout(store_format)
+    def __init__(self, root: Union[str, Path], *, create: bool = True):
         self._root = Path(root)
         if not self._root.exists():
             if not create:
@@ -142,11 +228,6 @@ class ReleaseStore:
     def root(self) -> Path:
         """The store's root directory."""
         return self._root
-
-    @property
-    def store_format(self) -> str:
-        """Default marginal-vector layout new releases are written with."""
-        return self._store_format
 
     def _meta_paths(self) -> List[Path]:
         """Per-release ``meta.json`` paths, skipping non-release directories.
@@ -183,7 +264,7 @@ class ReleaseStore:
                     entries = payload.get("releases", {})
                     on_disk = {p.parent.name for p in self._meta_paths()}
                     complete = all(
-                        isinstance(entry, dict) and "schema" in entry
+                        isinstance(entry, dict) and {"schema", "layout"} <= entry.keys()
                         for entry in entries.values()
                     )
                     if complete and set(entries) == on_disk:
@@ -231,6 +312,7 @@ class ReleaseStore:
             "masks": [int(mask) for mask in meta["workload"]["masks"]],  # type: ignore[index, call-overload]
             "workload": meta["workload"]["name"],  # type: ignore[index, call-overload]
             "strategy": meta["strategy_name"],
+            "layout": _layout_of(meta),
             "epsilon": float(budget["epsilon"]),
             "delta": float(budget.get("delta", 0.0)),
             "created_at": float(meta.get("created_at", 0.0)),  # type: ignore[arg-type]
@@ -305,20 +387,18 @@ class ReleaseStore:
         *,
         release_id: Optional[str] = None,
         overwrite: bool = False,
-        store_format: Optional[str] = None,
     ) -> str:
         """Persist a release; returns its id.
 
         Ids default to ``release-NNNN`` with an increasing sequence number.
-        Storing under an existing id requires ``overwrite=True``.
-        ``store_format`` overrides the store's default layout for this
-        release only.
+        Storing under an existing id requires ``overwrite=True``.  Releases
+        whose marginal vectors average at least :data:`V2_MIN_VECTOR_BYTES`
+        are written in the v2 layout, smaller ones in v1.
 
         The release directory is built under a hidden staging name and
         published with one atomic rename: readers (and the index scan) see
         the store fully old or fully new, never a torn release.
         """
-        layout = check_store_layout(store_format or self._store_format)
         # Pick up releases written by other store instances since we last
         # looked, so sequence numbers stay unique and the rewritten index
         # does not drop them.  (Simultaneous writers are not coordinated —
@@ -339,6 +419,8 @@ class ReleaseStore:
                 "enable overwrite to replace it"
             )
         directory = self._release_dir(release_id)
+        arrays = [np.asarray(marginal, dtype=np.float64) for marginal in release.marginals]
+        layout = _layout_for(arrays)
         meta = release.to_dict(include_marginals=False)
         # v1-layout releases keep format version 1 so pre-v2 builds of this
         # library can still read them; only the new layout requires 2.
@@ -352,9 +434,7 @@ class ReleaseStore:
             # Per-marginal content digests ride along in the metadata so
             # readers (QueryPlanner, ReleaseStore.verify) can detect silent
             # corruption of a stored vector and quarantine just that cuboid.
-            meta["marginal_digests"] = self._write_marginals(
-                staging, layout, release.marginals
-            )
+            meta["marginal_digests"] = self._write_marginals(staging, layout, arrays)
             # The marginals go first and meta.json lands last: a failure
             # injected between the two leaves only the staging directory,
             # which readers never look at — and the final rename below
@@ -373,13 +453,12 @@ class ReleaseStore:
         return release_id
 
     @staticmethod
-    def _write_marginals(directory: Path, layout: str, marginals) -> List[str]:
-        """Write the marginal vectors under ``directory`` in ``layout``.
+    def _write_marginals(directory: Path, layout: str, arrays: List[np.ndarray]) -> List[str]:
+        """Write the float64 marginal vectors under ``directory`` in ``layout``.
 
         Returns the per-marginal sha256 content digests, in workload order.
         """
-        keys = _marginal_keys(len(marginals))
-        arrays = [np.asarray(marginal, dtype=np.float64) for marginal in marginals]
+        keys = _marginal_keys(len(arrays))
         digests = [sha256_of_array(array) for array in arrays]
         if layout == "v1":
             np.savez_compressed(directory / _MARGINALS_FILE, **dict(zip(keys, arrays)))
@@ -420,88 +499,13 @@ class ReleaseStore:
 
     def get(self, release_id: str) -> ReleaseResult:
         """Load a stored release back into a :class:`ReleaseResult`."""
-        directory = self._release_dir(release_id)
         meta = self._read_meta(release_id)
-        layout = str(meta.get("marginals_layout", "v1"))
-        masks = [int(mask) for mask in meta["workload"]["masks"]]
-        with _obs.trace_span("store.open", release=release_id, layout=layout):
-            if layout == "v2":
-                marginals = self._read_marginals_v2(directory, release_id, masks)
-            else:
-                marginals = self._read_marginals_v1(directory, release_id, masks)
+        with _obs.trace_span("store.open", release=release_id, layout=_layout_of(meta)):
+            marginals = _read_marginals(self._release_dir(release_id), release_id, meta)
         try:
             return ReleaseResult.from_dict(meta, marginals=marginals)
         except ReproError as error:
             raise ServingError(f"cannot rebuild release {release_id!r}: {error}") from error
-
-    def _read_marginals_v1(
-        self, directory: Path, release_id: str, masks: List[int]
-    ) -> List[np.ndarray]:
-        """Read the v1 NPZ archive: one pass, each array read exactly once."""
-        marginals_path = directory / _MARGINALS_FILE
-        if not marginals_path.exists():
-            raise ServingError(f"release {release_id!r} is missing {_MARGINALS_FILE}")
-        marginals: List[np.ndarray] = []
-        try:
-            archive_cm = np.load(marginals_path)
-        except (zipfile.BadZipFile, ValueError, OSError) as error:
-            raise CorruptMarginalError(
-                f"release {release_id!r} archive {marginals_path} is truncated "
-                f"or corrupt: {error}",
-                release_id=release_id,
-            ) from error
-        with archive_cm as archive:
-            for key, mask in zip(_marginal_keys(len(masks)), masks):
-                if key not in archive:
-                    raise DataError(
-                        f"release {release_id!r} archive is missing marginal "
-                        f"array {key!r} for cuboid {mask:#x}"
-                    )
-                try:
-                    marginals.append(archive[key])
-                except (zipfile.BadZipFile, ValueError, OSError) as error:
-                    raise CorruptMarginalError(
-                        f"marginal array {key!r} (cuboid {mask:#x}) of release "
-                        f"{release_id!r} is truncated or corrupt: {error}",
-                        mask=mask,
-                        release_id=release_id,
-                    ) from error
-        return marginals
-
-    def _read_marginals_v2(
-        self, directory: Path, release_id: str, masks: List[int]
-    ) -> List[np.ndarray]:
-        """Map the v2 raw ``.npy`` vectors — no data pages are touched."""
-        vectors = directory / _MARGINALS_DIR
-        if not vectors.is_dir():
-            raise ServingError(f"release {release_id!r} is missing {_MARGINALS_DIR}/")
-        marginals: List[np.ndarray] = []
-        bytes_mapped = 0
-        for key, mask in zip(_marginal_keys(len(masks)), masks):
-            path = vectors / f"{key}.npy"
-            if not path.exists():
-                raise DataError(
-                    f"release {release_id!r} is missing marginal array {key!r} "
-                    f"for cuboid {mask:#x}"
-                )
-            try:
-                vector = np.load(path, mmap_mode="r")
-            except (ValueError, OSError) as error:
-                # A short-read .npy (torn copy, bad disk) fails the mmap
-                # header/size check with a bare numpy ValueError; name the
-                # cuboid so the service can quarantine exactly this vector.
-                raise CorruptMarginalError(
-                    f"marginal file {path} (cuboid {mask:#x}) of release "
-                    f"{release_id!r} is truncated or corrupt — {error}",
-                    mask=mask,
-                    release_id=release_id,
-                ) from error
-            bytes_mapped += int(vector.nbytes)
-            marginals.append(vector)
-        if _obs.ENABLED:
-            _obs.counter_inc("store.opens")
-            _obs.gauge_set("store.bytes_mapped", float(bytes_mapped))
-        return marginals
 
     # ------------------------------------------------------------------ #
     # health
@@ -521,34 +525,16 @@ class ReleaseStore:
         """
         try:
             meta = self._read_meta(release_id)
-            layout = str(meta.get("marginals_layout", "v1"))
             masks = [int(mask) for mask in meta["workload"]["masks"]]  # type: ignore[index, call-overload]
             digests = meta.get("marginal_digests")
         except (ServingError, KeyError, TypeError, ValueError) as error:
             # A release the index still names but whose metadata no longer
             # parses: report it corrupt instead of failing the health check.
-            return {
-                "release_id": release_id,
-                "layout": "unknown",
-                "marginals": 0,
-                "verified": 0,
-                "ok": False,
-                "corrupt": [
-                    {
-                        "position": None,
-                        "mask": None,
-                        "error": f"unreadable release metadata: {error}",
-                    }
-                ],
-            }
-        directory = self._release_dir(release_id)
+            return _unreadable_report(release_id, error)
         corrupt: List[Dict[str, object]] = []
         verified = 0
         try:
-            if layout == "v2":
-                marginals = self._read_marginals_v2(directory, release_id, masks)
-            else:
-                marginals = self._read_marginals_v1(directory, release_id, masks)
+            marginals = _read_marginals(self._release_dir(release_id), release_id, meta)
         except CorruptMarginalError as error:
             corrupt.append(
                 {"position": None, "mask": error.mask, "error": str(error)}
@@ -577,7 +563,7 @@ class ReleaseStore:
                 verified += 1
         return {
             "release_id": release_id,
-            "layout": layout,
+            "layout": _layout_of(meta),
             "marginals": len(masks),
             "verified": verified,
             "ok": not corrupt,
@@ -598,22 +584,7 @@ class ReleaseStore:
         """
         reports = [self.verify(release_id) for release_id in self.release_ids()]
         for release_id, error in sorted(self._unreadable.items()):
-            reports.append(
-                {
-                    "release_id": release_id,
-                    "layout": "unknown",
-                    "marginals": 0,
-                    "verified": 0,
-                    "ok": False,
-                    "corrupt": [
-                        {
-                            "position": None,
-                            "mask": None,
-                            "error": f"unreadable release metadata: {error}",
-                        }
-                    ],
-                }
-            )
+            reports.append(_unreadable_report(release_id, error))
         return {
             "root": str(self._root),
             "releases": len(reports),
@@ -652,8 +623,6 @@ class ReleaseStore:
 __all__ = [
     "ReleaseStore",
     "STORE_FORMAT_VERSION",
-    "STORE_LAYOUTS",
-    "DEFAULT_STORE_LAYOUT",
     "RELEASE_FORMAT_VERSION",
-    "check_store_layout",
+    "V2_MIN_VECTOR_BYTES",
 ]

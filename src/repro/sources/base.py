@@ -227,10 +227,10 @@ class CountSource(ABC):
     def fourier_coefficients_for_masks(self, masks: Iterable[int]) -> Dict[int, float]:
         """Coefficients ``{beta: <f^beta, x>}`` for every ``beta ⪯ some mask``.
 
-        Mirrors :func:`repro.transforms.hadamard.fourier_coefficients_for_masks`
-        exactly — same mask ordering, same small-Hadamard arithmetic on the
-        exact marginal — so the coefficients are bitwise identical across
-        backends; only the marginal supplier differs.
+        The one implementation for every backend — same mask ordering, same
+        small-Hadamard arithmetic on the exact marginal — so the coefficients
+        are bitwise identical across backends; only the marginal supplier
+        differs.
         """
         d = self.dimension
         scale = 2.0 ** (d / 2.0)

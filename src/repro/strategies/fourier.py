@@ -32,8 +32,8 @@ from repro.mechanisms.noise import (
 )
 from repro.fourier.index import WorkloadFourierIndex
 from repro.queries.workload import MarginalWorkload
+from repro.sources.dense import DenseCubeSource
 from repro.strategies.base import Measurement, Strategy
-from repro.transforms.hadamard import fourier_coefficients_for_masks
 from repro.utils.rng import RngLike, ensure_rng
 
 _GROUP_PREFIX = "fourier-"
@@ -104,8 +104,9 @@ class FourierStrategy(Strategy):
         vector = self.check_vector(x)
         self.check_allocation(allocation)
         generator = ensure_rng(rng)
-        d = self.dimension
-        exact = fourier_coefficients_for_masks(vector, self._workload.masks, d)
+        exact = DenseCubeSource(vector, self.dimension).fourier_coefficients_for_masks(
+            self._workload.masks
+        )
         budgets = np.array(
             [allocation.budget_for(_group_label(beta)) for beta in self._coefficient_masks]
         )

@@ -1,21 +1,14 @@
 """Linear transforms used as strategy matrices.
 
-* :mod:`repro.transforms.hadamard` — the Walsh–Hadamard (Fourier) transform
-  over the Boolean hypercube, the workhorse of the paper's Section 4.
 * :mod:`repro.transforms.wavelet` — the one-dimensional Haar wavelet transform
   of Xiao et al. (strategy for range queries).
 * :mod:`repro.transforms.hierarchical` — the dyadic/binary-tree hierarchy of
   Hay et al.
+
+The Walsh–Hadamard (Fourier) transform of the paper's Section 4 lives in
+:mod:`repro.fourier`.
 """
 
-from repro.transforms.hadamard import (
-    fwht,
-    inverse_fwht,
-    fourier_coefficient,
-    fourier_coefficients_for_mask,
-    fourier_coefficients_for_masks,
-    marginal_from_fourier,
-)
 from repro.transforms.wavelet import (
     haar_transform,
     inverse_haar_transform,
@@ -34,12 +27,6 @@ from repro.transforms.sketch import (
 )
 
 __all__ = [
-    "fwht",
-    "inverse_fwht",
-    "fourier_coefficient",
-    "fourier_coefficients_for_mask",
-    "fourier_coefficients_for_masks",
-    "marginal_from_fourier",
     "haar_transform",
     "inverse_haar_transform",
     "haar_matrix",

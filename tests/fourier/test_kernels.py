@@ -1,10 +1,10 @@
-"""Bitwise-equivalence tests for the vectorized FWHT kernels.
+"""Tests of the vectorized FWHT kernels.
 
 The reference implementations below are verbatim copies of the pre-index
 scalar code (the Python block-loop butterfly and the dict-based consistency
-projection lived in ``repro.transforms.hadamard`` / ``repro.recovery``).
-The vectorized kernels must reproduce them **bitwise** — ``==``, not
-``allclose`` — because seeded releases are pinned across the rewrite.
+projection).  The vectorized kernels must reproduce them **bitwise** — ``==``,
+not ``allclose`` — because seeded releases are pinned across the rewrite.
+The transform itself is checked against its definition at the end.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.domain.contingency import marginal_from_vector
 from repro.fourier import fwht, fwht_batch, fwht_inplace, inverse_fwht
+from repro.utils.bits import parity
 
 
 # --------------------------------------------------------------------------- #
@@ -126,3 +128,66 @@ class TestFwhtBatch:
             expected = rows[i].copy()
             reference_unnormalised_fwht_inplace(expected)
             assert np.array_equal(batched[i], expected)
+
+
+# --------------------------------------------------------------------------- #
+# the transform against its definition (Section 4.1)
+# --------------------------------------------------------------------------- #
+vectors_16 = st.lists(
+    st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False),
+    min_size=16,
+    max_size=16,
+)
+
+
+class TestFwhtDefinition:
+    def test_matches_definition_small(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=8)
+        coefficients = fwht(x)
+        for alpha in range(8):
+            expected = sum(
+                ((-1) ** parity(alpha & beta)) * x[beta] for beta in range(8)
+            ) / np.sqrt(8)
+            assert coefficients[alpha] == pytest.approx(expected)
+
+    def test_zero_coefficient_is_scaled_total(self, random_counts_5):
+        coefficients = fwht(random_counts_5)
+        assert coefficients[0] == pytest.approx(random_counts_5.sum() / np.sqrt(32))
+
+    def test_parseval(self, random_counts_5):
+        assert np.linalg.norm(fwht(random_counts_5)) == pytest.approx(
+            np.linalg.norm(random_counts_5)
+        )
+
+    def test_does_not_modify_input(self, random_counts_5):
+        copy = random_counts_5.copy()
+        fwht(random_counts_5)
+        assert np.array_equal(copy, random_counts_5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(vectors_16)
+    def test_involution_property(self, data):
+        x = np.array(data)
+        assert np.allclose(fwht(fwht(x)), x, atol=1e-8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(vectors_16, vectors_16)
+    def test_linearity(self, a, b):
+        a, b = np.array(a), np.array(b)
+        assert np.allclose(fwht(2.0 * a + 3.0 * b), 2.0 * fwht(a) + 3.0 * fwht(b), atol=1e-8)
+
+    def test_theorem_41_dominated_coefficients_suffice(self, random_counts_5):
+        """Zeroing coefficients outside the dominated set does not change the marginal."""
+        d = 5
+        mask = 0b00110
+        full = fwht(random_counts_5)
+        truncated = np.zeros_like(full)
+        for beta in range(32):
+            if beta & mask == beta:
+                truncated[beta] = full[beta]
+        reconstructed_vector = fwht(truncated)  # inverse transform of truncated spectrum
+        assert np.allclose(
+            marginal_from_vector(reconstructed_vector, mask, d),
+            marginal_from_vector(random_counts_5, mask, d),
+        )

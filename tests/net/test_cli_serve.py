@@ -34,10 +34,13 @@ class TestServeValidation:
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
 
-    def test_verify_start_refuses_a_corrupt_store(self, tmp_path, release, capsys):
+    def test_verify_start_refuses_a_corrupt_store(
+        self, tmp_path, release, capsys, store_layout
+    ):
         # Tamper with a stored vector: --verify-start must refuse to serve.
         root = tmp_path / "cstore"
-        store = ReleaseStore(root, store_format="v2")
+        store_layout("v2")
+        store = ReleaseStore(root)
         rid = store.put(release)
         target = next((root / rid / "marginals").glob("*.npy"))
         data = np.load(target) + 1.0

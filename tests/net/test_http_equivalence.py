@@ -110,10 +110,11 @@ class TestEquivalence:
 
 class TestDegradedEquivalence:
     @pytest.fixture
-    def corrupt_store_dir(self, tmp_path, release) -> Path:
+    def corrupt_store_dir(self, tmp_path, release, store_layout) -> Path:
         """A v2 store whose 'a'-serving cuboid was corrupted in place."""
         root = tmp_path / "cstore"
-        store = ReleaseStore(root, store_format="v2")
+        store_layout("v2")
+        store = ReleaseStore(root)
         rid = store.put(release)
         probe = QueryService(ReleaseStore(root, create=False))
         answer = probe.query(["a"])

@@ -242,9 +242,10 @@ class TestDrain:
 
 class TestBreaker:
     @pytest.fixture
-    def corrupt_store(self, tmp_path, release) -> ReleaseStore:
+    def corrupt_store(self, tmp_path, release, store_layout) -> ReleaseStore:
         """A v2 store whose first 2-way cuboid's vector was tampered with."""
-        store = ReleaseStore(tmp_path / "cstore", store_format="v2")
+        store_layout("v2")
+        store = ReleaseStore(tmp_path / "cstore")
         rid = store.put(release)
         clean = QueryService(ReleaseStore(tmp_path / "cstore", create=False))
         # Corrupt the source that serves the 1-way 'a' marginal: after the

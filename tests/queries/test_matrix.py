@@ -15,7 +15,7 @@ from repro.queries.matrix import (
     workload_matrix,
 )
 from repro.domain.contingency import marginal_from_vector
-from repro.transforms.hadamard import fwht
+from repro.fourier import fwht
 
 
 class TestMarginalOperatorMatrix:

@@ -129,8 +129,9 @@ class TestGroupedEqualsSerial:
 
 class TestDegradedBatch:
     @pytest.fixture
-    def v2_store(self, tmp_path, release) -> ReleaseStore:
-        store = ReleaseStore(tmp_path / "store", store_format="v2")
+    def v2_store(self, tmp_path, release, store_layout) -> ReleaseStore:
+        store_layout("v2")
+        store = ReleaseStore(tmp_path / "store")
         store.put(release, release_id="r1")
         return store
 
@@ -178,7 +179,7 @@ class TestDegradedBatch:
 
 class TestFaultedBuildBatch:
     def test_batch_paths_agree_on_a_release_built_under_retryable_faults(
-        self, tmp_path
+        self, tmp_path, store_layout
     ):
         dataset = synthetic_nltcs(300, rng=9)
         workload = all_k_way(dataset.schema, 2)
@@ -193,7 +194,8 @@ class TestFaultedBuildBatch:
             faulted = build()
         assert injector.injected("shards.task") == 2
 
-        store = ReleaseStore(tmp_path / "store", store_format="v2")
+        store_layout("v2")
+        store = ReleaseStore(tmp_path / "store")
         store.put(faulted)
         names = list(dataset.schema.names)
         rng = np.random.default_rng(17)
@@ -235,7 +237,7 @@ class TestWideStorePin:
         ]
         return requests
 
-    def test_seeded_d32_round_trip_is_pinned(self, tmp_path):
+    def test_seeded_d32_round_trip_is_pinned(self, tmp_path, store_layout):
         schema = Schema.binary([f"a{i:02d}" for i in range(32)])
         rng = np.random.default_rng(2013)
         records = (rng.random((1500, 32)) < 0.35).astype(np.int64)
@@ -249,7 +251,8 @@ class TestWideStorePin:
         release = release_marginals(
             dataset, workload, budget=1.0, strategy="F", rng=5
         )
-        store = ReleaseStore(tmp_path / "store", store_format="v2")
+        store_layout("v2")
+        store = ReleaseStore(tmp_path / "store")
         rid = store.put(release, release_id="wide")
         assert rid == "wide"
 

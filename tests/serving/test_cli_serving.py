@@ -242,6 +242,65 @@ class TestQuerySubcommand:
         assert rc == 2
         assert f"{batch}:2" in capsys.readouterr().err
 
+    def _batch_error(self, store, batch, lines, *flags, capsys):
+        batch.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+        rc = main(["query", "--store", str(store), "--batch", str(batch), *flags])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        return captured.err
+
+    def test_batch_unknown_key_fails_with_location(self, store, tmp_path, capsys):
+        # "attrs" is a typo of "attributes": it must not silently ask for the total.
+        batch = tmp_path / "queries.jsonl"
+        lines = [{"attributes": ["region"]}, {"attrs": ["region"]}]
+        err = self._batch_error(store, batch, lines, capsys=capsys)
+        assert f"{batch}:2" in err and "attrs" in err
+
+    def test_batch_bad_value_fails_with_location(self, store, tmp_path, capsys):
+        batch = tmp_path / "queries.jsonl"
+        err = self._batch_error(store, batch, [{"mask": -1}], capsys=capsys)
+        assert f"{batch}:1" in err and "mask" in err
+
+    def test_batch_release_disagreeing_with_flag_fails(self, store, tmp_path, capsys):
+        batch = tmp_path / "queries.jsonl"
+        lines = [{"attributes": ["region"]}, {"attributes": ["region"], "release": "nope"}]
+        err = self._batch_error(
+            store, batch, lines, "--release", "release-0001", capsys=capsys
+        )
+        assert f"{batch}:2" in err and "'nope'" in err and "--release" in err
+
+    def test_batch_mixed_pins_fail(self, store, tmp_path, capsys):
+        batch = tmp_path / "queries.jsonl"
+        lines = [{"attributes": ["region"], "release": "release-0001"}, {"attributes": ["income"]}]
+        err = self._batch_error(store, batch, lines, capsys=capsys)
+        assert f"{batch}:2" in err and "same release" in err
+
+    def test_batch_release_flag_pins_unpinned_lines(self, store, tmp_path, capsys):
+        batch = tmp_path / "queries.jsonl"
+        batch.write_text(json.dumps({"attributes": ["region"]}) + "\n")
+        rc = main(
+            ["query", "--store", str(store), "--batch", str(batch), "--release", "nope"]
+        )
+        assert rc == 2 and "'nope'" in capsys.readouterr().err
+        rc = main(
+            [
+                "query", "--store", str(store),
+                "--batch", str(batch), "--release", "release-0001",
+            ]
+        )
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["release"] == "release-0001"
+
+    def test_batch_line_pin_is_served(self, store, tmp_path, capsys):
+        batch = tmp_path / "queries.jsonl"
+        err = self._batch_error(
+            store, batch, [{"attributes": ["region"], "release": "nope"}], capsys=capsys
+        )
+        assert "'nope'" in err  # not answered from the newest release instead
+        batch.write_text(json.dumps({"attributes": ["region"], "release": "release-0001"}))
+        assert main(["query", "--store", str(store), "--batch", str(batch)]) == 0
+        assert json.loads(capsys.readouterr().out)["release"] == "release-0001"
+
 
 class TestFreshProcessRoundTrip:
     """Acceptance: a release written by one process is queried by another."""

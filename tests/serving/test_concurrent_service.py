@@ -166,10 +166,11 @@ class TestConcurrentQueryBatch:
 
 class TestQuarantineUnderTraffic:
     @pytest.fixture
-    def corrupt_store(self, tmp_path, release) -> ReleaseStore:
+    def corrupt_store(self, tmp_path, release, store_layout) -> ReleaseStore:
         """A v2 store whose sources of ``a`` and ``d`` are corrupted in place."""
         root = tmp_path / "cstore"
-        store = ReleaseStore(root, store_format="v2")
+        store_layout("v2")
+        store = ReleaseStore(root)
         rid = store.put(release)
         probe = QueryService(ReleaseStore(root, create=False))
         positions = {probe.query([name]).plan.source_position for name in ("a", "d")}

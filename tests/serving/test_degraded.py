@@ -25,8 +25,9 @@ from repro.serving.store import ReleaseStore
 
 
 @pytest.fixture
-def store(tmp_path, release) -> ReleaseStore:
-    return ReleaseStore(tmp_path / "store", store_format="v2")
+def store(tmp_path, release, store_layout) -> ReleaseStore:
+    store_layout("v2")
+    return ReleaseStore(tmp_path / "store")
 
 
 def _corrupt_in_place(root: Path, release_id: str, position: int, release) -> None:
@@ -191,8 +192,9 @@ class TestTruncation:
         assert info.value.mask is not None
         assert info.value.release_id == rid
 
-    def test_truncated_v1_archive_is_a_targeted_error(self, tmp_path, release):
-        store = ReleaseStore(tmp_path / "v1store", store_format="v1")
+    def test_truncated_v1_archive_is_a_targeted_error(self, tmp_path, release, store_layout):
+        store_layout("v1")
+        store = ReleaseStore(tmp_path / "v1store")
         rid = store.put(release)
         assert store.marginal_digests(rid) is not None
         assert store.verify(rid)["ok"]

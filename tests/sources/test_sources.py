@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.domain import ContingencyTable, Dataset, Schema
 from repro.exceptions import DataError, WorkloadError
+from repro.fourier import fwht
 from repro.queries import all_k_way
 from repro.sources import (
     DENSE_LIMIT_BITS,
@@ -17,7 +18,6 @@ from repro.sources import (
     ensure_dense_allowed,
     select_backend,
 )
-from repro.transforms.hadamard import fourier_coefficients_for_masks
 
 SETTINGS = settings(
     max_examples=25,
@@ -72,12 +72,18 @@ class TestMarginals:
 class TestFourierCoefficients:
     @SETTINGS
     @given(count_vectors, mask_lists)
-    def test_backends_match_the_hadamard_helper(self, counts, requested):
+    def test_backends_match_the_full_transform(self, counts, requested):
+        """Every submask of a requested mask, read off the full orthonormal FWHT."""
         dense, record = both_sources(counts)
-        vector = np.asarray(counts, dtype=np.float64)
-        expected = fourier_coefficients_for_masks(vector, requested, D)
-        assert dense.fourier_coefficients_for_masks(requested) == expected
-        assert record.fourier_coefficients_for_masks(requested) == expected
+        full = fwht(np.asarray(counts, dtype=np.float64))
+        submasks = sorted(
+            beta for beta in range(1 << D) if any(beta & mask == beta for mask in requested)
+        )
+        coefficients = dense.fourier_coefficients_for_masks(requested)
+        assert sorted(coefficients) == submasks
+        assert np.allclose([coefficients[beta] for beta in submasks], full[submasks])
+        # The record backend shares the dense arithmetic: bitwise equal.
+        assert record.fourier_coefficients_for_masks(requested) == coefficients
 
 
 class TestRecordSource:

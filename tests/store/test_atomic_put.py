@@ -8,7 +8,7 @@ import pytest
 from repro.core.engine import release_marginals
 from repro.data import synthetic_nltcs
 from repro.queries import all_k_way
-from repro.serving.store import STORE_LAYOUTS, ReleaseStore
+from repro.serving.store import ReleaseStore
 from repro.store import EncodedSourceWriter, open_source, write_source
 
 
@@ -28,13 +28,14 @@ class Boom(RuntimeError):
 
 
 class TestReleaseStorePutAtomicity:
-    @pytest.mark.parametrize("layout", STORE_LAYOUTS)
+    @pytest.mark.parametrize("layout", ["v1", "v2"])
     def test_failure_between_marginals_and_meta_leaves_store_empty(
-        self, tmp_path, monkeypatch, release, layout
+        self, tmp_path, monkeypatch, release, layout, store_layout
     ):
         """Inject a crash after the marginal write, before meta.json."""
         root = tmp_path / "store"
-        store = ReleaseStore(root, store_format=layout)
+        store_layout(layout)
+        store = ReleaseStore(root)
         baseline = _snapshot(root)
 
         original = ReleaseStore._write_marginals
@@ -54,12 +55,13 @@ class TestReleaseStorePutAtomicity:
         assert "victim" not in fresh
         assert len(fresh) == 0
 
-    @pytest.mark.parametrize("layout", STORE_LAYOUTS)
+    @pytest.mark.parametrize("layout", ["v1", "v2"])
     def test_failed_overwrite_keeps_the_old_release_intact(
-        self, tmp_path, monkeypatch, release, layout
+        self, tmp_path, monkeypatch, release, layout, store_layout
     ):
         root = tmp_path / "store"
-        store = ReleaseStore(root, store_format=layout)
+        store_layout(layout)
+        store = ReleaseStore(root)
         store.put(release, release_id="r")
         before = _snapshot(root)
 
@@ -76,10 +78,11 @@ class TestReleaseStorePutAtomicity:
         for ours, exact in zip(reloaded.marginals, release.marginals):
             assert np.array_equal(np.asarray(ours), exact)
 
-    @pytest.mark.parametrize("layout", STORE_LAYOUTS)
-    def test_successful_put_is_fully_new(self, tmp_path, release, layout):
+    @pytest.mark.parametrize("layout", ["v1", "v2"])
+    def test_successful_put_is_fully_new(self, tmp_path, release, layout, store_layout):
         root = tmp_path / "store"
-        store = ReleaseStore(root, store_format=layout)
+        store_layout(layout)
+        store = ReleaseStore(root)
         release_id = store.put(release)
         # No staging debris survives a successful publish either.
         assert not list(root.glob(".stage-*"))

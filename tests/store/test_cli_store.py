@@ -1,4 +1,4 @@
-"""CLI storage knobs: ``--memory-budget`` streaming and ``--store-format``."""
+"""CLI storage: ``--memory-budget`` streaming and the store layout ``--out`` writes."""
 
 from __future__ import annotations
 
@@ -42,13 +42,12 @@ class TestParser:
     def test_store_knob_defaults(self):
         args = build_release_parser().parse_args(["--input", "x.csv"])
         assert args.memory_budget is None
-        assert args.store_format is None
+        assert args.out is None
 
-    def test_store_format_choices(self):
+    def test_store_format_flag_is_gone(self):
+        # The store picks the layout from the vector size; there is no knob.
         with pytest.raises(SystemExit):
-            build_release_parser().parse_args(
-                ["--input", "x.csv", "--store-format", "v9"]
-            )
+            build_release_parser().parse_args(["--input", "x.csv", "--store-format", "v1"])
 
 
 class TestStreamedRelease:
@@ -72,14 +71,12 @@ class TestStreamedRelease:
                     str(tmp_path / "streamed"),
                     "--memory-budget",
                     "64M",
-                    "--store-format",
-                    "v2",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
-        assert "v2 layout" in out
+        assert "v1 layout" in out  # 2-way marginals of a 3-column survey are tiny
 
         plain = _query_json(tmp_path / "plain", ["smoker", "region"], capsys)
         streamed = _query_json(tmp_path / "streamed", ["smoker", "region"], capsys)
@@ -137,8 +134,23 @@ class TestStreamedRelease:
 
 
 class TestStoreFormat:
-    def test_v1_and_v2_serve_identically(self, survey_csv, tmp_path, capsys):
+    def test_wide_marginals_are_stored_v2(self, tmp_path, capsys):
+        # Two 64-value attributes: one 2-way marginal of 4096 cells (32 KiB).
+        path = tmp_path / "wide.csv"
+        with path.open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["left", "right"])
+            for i in range(300):
+                writer.writerow([f"l{i % 64}", f"r{i * 5 % 64}"])
+        out = tmp_path / "store"
+        argv = ["release", "--input", str(path), "--k", "2", "--seed", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert "(v2 layout)" in capsys.readouterr().out
+        assert main(["stats", "--store", str(out)]) == 0
+
+    def test_v1_and_v2_serve_identically(self, survey_csv, tmp_path, capsys, store_layout):
         for layout in ("v1", "v2"):
+            store_layout(layout)
             exit_code = main(
                 [
                     "release",
@@ -150,12 +162,10 @@ class TestStoreFormat:
                     "9",
                     "--out",
                     str(tmp_path / layout),
-                    "--store-format",
-                    layout,
                 ]
             )
             assert exit_code == 0
-        capsys.readouterr()
+            assert f"({layout} layout)" in capsys.readouterr().out
         v1 = _query_json(tmp_path / "v1", ["region", "income"], capsys)
         v2 = _query_json(tmp_path / "v2", ["region", "income"], capsys)
         assert v1["cells"] == v2["cells"]

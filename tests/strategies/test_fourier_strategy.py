@@ -10,11 +10,11 @@ import pytest
 from repro.budget.allocation import optimal_allocation, uniform_allocation
 from repro.core.bounds import fourier_total_variance_all_k_way
 from repro.exceptions import WorkloadError
+from repro.fourier import fwht
 from repro.mechanisms import PrivacyBudget
 from repro.queries import all_k_way, star_workload
 from repro.strategies import FourierStrategy
 from repro.strategies.base import Measurement
-from repro.transforms.hadamard import fourier_coefficients_for_masks
 from repro.utils.bits import dominated_by, hamming_weight
 from tests.conftest import marginals_are_consistent
 
@@ -80,9 +80,12 @@ class TestMeasureAndEstimate:
     def test_estimate_exact_when_noise_free(self, strategy, workload_2way_5, random_counts_5):
         """Feeding the exact coefficients through the recovery reproduces the
         exact marginals (Theorem 4.1(2))."""
-        exact = fourier_coefficients_for_masks(
-            random_counts_5, workload_2way_5.masks, workload_2way_5.dimension
-        )
+        full = fwht(random_counts_5)
+        exact = {
+            beta: float(full[beta])
+            for beta in range(full.size)
+            if any(beta & mask == beta for mask in workload_2way_5.masks)
+        }
         allocation = optimal_allocation(strategy.group_specs(), PrivacyBudget.pure(1.0))
         measurement = Measurement(
             strategy_name="F",

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_release_parser, main
 
 
 @pytest.fixture
@@ -32,7 +33,7 @@ def survey_csv(tmp_path) -> Path:
 
 class TestParser:
     def test_defaults(self):
-        args = build_parser().parse_args(["--input", "x.csv"])
+        args = build_release_parser().parse_args(["--input", "x.csv"])
         assert args.k == 2
         assert args.epsilon == 1.0
         assert args.strategy == "F"
@@ -41,17 +42,17 @@ class TestParser:
 
     def test_choices_enforced(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--input", "x.csv", "--strategy", "wavelet"])
+            build_release_parser().parse_args(["--input", "x.csv", "--strategy", "wavelet"])
 
     def test_input_required(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args([])
+            build_release_parser().parse_args([])
 
     def test_no_prefix_abbreviation(self):
-        # --out must not silently match --output (it is a flag of the
-        # `release` subcommand, not of the legacy form).
+        # A truncated flag must not silently match a longer one: --outp is
+        # neither --out (a store) nor --output (CSV files).
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--input", "x.csv", "--out", "store"])
+            build_release_parser().parse_args(["--input", "x.csv", "--outp", "store"])
 
 
 class TestMain:
@@ -92,6 +93,17 @@ class TestMain:
         content = (output / files[0]).read_text().splitlines()
         assert content[0].endswith("count")
         assert len(content) >= 5
+
+    def test_flag_only_form_is_an_alias_of_release(self, survey_csv, tmp_path, capsys):
+        outputs = {}
+        for prefix, name in (([], "flags"), (["release"], "release")):
+            store = tmp_path / name
+            argv = prefix + ["--input", str(survey_csv), "--seed", "3", "--out", str(store)]
+            assert main(argv) == 0
+            assert "(v1 layout)" in capsys.readouterr().out
+            assert main(["query", "--store", str(store), "--attributes", "region", "--json"]) == 0
+            outputs[name] = json.loads(capsys.readouterr().out)["cells"]
+        assert outputs["flags"] == outputs["release"]
 
     def test_nonnegative_rounding(self, survey_csv, tmp_path):
         output = tmp_path / "released"
