@@ -1,28 +1,21 @@
-"""Tests for the Walsh–Hadamard (Fourier) transform machinery."""
+"""Walsh–Hadamard (Fourier) transform properties over the Boolean hypercube.
+
+The transform lives in :mod:`repro.fourier`; per-mask coefficients come from
+the dense count source and marginals are rebuilt through
+:class:`repro.fourier.WorkloadFourierIndex`, the paths the Fourier strategy
+uses.  Each check compares against the full orthonormal transform or the
+exact marginal, never against the code under test.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.queries import all_k_way
-from repro.transforms.hadamard import (
-    fourier_coefficient,
-    fourier_coefficients_for_mask,
-    fourier_coefficients_for_masks,
-    fwht,
-    inverse_fwht,
-    marginal_from_fourier,
-)
 from repro.domain.contingency import marginal_from_vector
-from repro.utils.bits import hamming_weight, parity
-
-vectors_16 = st.lists(
-    st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False),
-    min_size=16,
-    max_size=16,
-)
+from repro.fourier import WorkloadFourierIndex, fwht, inverse_fwht
+from repro.queries import all_k_way
+from repro.sources import DenseCubeSource
 
 
 class TestFwht:
@@ -38,73 +31,24 @@ class TestFwht:
     def test_inverse_is_forward(self, random_counts_5):
         assert np.allclose(inverse_fwht(fwht(random_counts_5)), random_counts_5)
 
-    def test_parseval(self, random_counts_5):
-        assert np.linalg.norm(fwht(random_counts_5)) == pytest.approx(
-            np.linalg.norm(random_counts_5)
-        )
-
-    def test_does_not_modify_input(self, random_counts_5):
-        copy = random_counts_5.copy()
-        fwht(random_counts_5)
-        assert np.array_equal(copy, random_counts_5)
-
-    def test_matches_definition_small(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=8)
-        coefficients = fwht(x)
-        for alpha in range(8):
-            expected = sum(
-                ((-1) ** parity(alpha & beta)) * x[beta] for beta in range(8)
-            ) / np.sqrt(8)
-            assert coefficients[alpha] == pytest.approx(expected)
-
-    def test_zero_coefficient_is_scaled_total(self, random_counts_5):
-        coefficients = fwht(random_counts_5)
-        assert coefficients[0] == pytest.approx(random_counts_5.sum() / np.sqrt(32))
-
-    @settings(max_examples=30, deadline=None)
-    @given(vectors_16)
-    def test_involution_property(self, data):
-        x = np.array(data)
-        assert np.allclose(fwht(fwht(x)), x, atol=1e-8)
-
-    @settings(max_examples=30, deadline=None)
-    @given(vectors_16, vectors_16)
-    def test_linearity(self, a, b):
-        a, b = np.array(a), np.array(b)
-        assert np.allclose(fwht(2.0 * a + 3.0 * b), 2.0 * fwht(a) + 3.0 * fwht(b), atol=1e-8)
-
-
-class TestSingleCoefficients:
-    def test_matches_full_transform(self, random_counts_5):
-        full = fwht(random_counts_5)
-        for mask in [0, 1, 0b101, 0b11111, 0b01010]:
-            assert fourier_coefficient(random_counts_5, mask) == pytest.approx(full[mask])
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            fourier_coefficient(np.zeros(6), 0)
-        with pytest.raises(ValueError):
-            fourier_coefficient(np.zeros(8), 9)
-
 
 class TestCoefficientsForMask:
     def test_matches_full_transform(self, random_counts_5):
         full = fwht(random_counts_5)
-        coefficients = fourier_coefficients_for_mask(random_counts_5, 0b10110, 5)
+        coefficients = DenseCubeSource(random_counts_5, 5).fourier_coefficients_for_masks(
+            [0b10110]
+        )
         assert len(coefficients) == 8
         for beta, value in coefficients.items():
             assert beta & 0b10110 == beta
             assert value == pytest.approx(full[beta])
 
-    def test_requires_matching_length(self):
-        with pytest.raises(ValueError):
-            fourier_coefficients_for_mask(np.zeros(8), 1, 4)
-
     def test_masks_collection(self, random_counts_5, binary_schema_5):
         workload = all_k_way(binary_schema_5, 2)
         full = fwht(random_counts_5)
-        coefficients = fourier_coefficients_for_masks(random_counts_5, workload.masks, 5)
+        coefficients = DenseCubeSource(random_counts_5, 5).fourier_coefficients_for_masks(
+            workload.masks
+        )
         assert set(coefficients) == set(workload.fourier_masks())
         for beta, value in coefficients.items():
             assert value == pytest.approx(full[beta])
@@ -113,44 +57,16 @@ class TestCoefficientsForMask:
 class TestMarginalFromFourier:
     def test_exact_round_trip(self, random_counts_5):
         d = 5
+        source = DenseCubeSource(random_counts_5, d)
         for mask in [0b00001, 0b01101, 0b11111, 0b00000]:
-            coefficients = fourier_coefficients_for_mask(random_counts_5, mask, d)
-            reconstructed = marginal_from_fourier(coefficients, mask, d)
+            index = WorkloadFourierIndex(d, [mask])
+            coefficients = source.fourier_coefficients_for_masks([mask])
+            (reconstructed,) = index.marginals_from_coefficients(
+                index.coefficient_array_from_mapping(coefficients)
+            )
             assert np.allclose(reconstructed, marginal_from_vector(random_counts_5, mask, d))
 
     def test_missing_coefficient_raises(self):
+        index = WorkloadFourierIndex(3, [0b11])
         with pytest.raises(KeyError):
-            marginal_from_fourier({0: 1.0}, 0b11, 3)
-
-    def test_extra_coefficients_ignored(self, random_counts_5):
-        d = 5
-        coefficients = fourier_coefficients_for_masks(random_counts_5, [0b11111], d)
-        reconstructed = marginal_from_fourier(coefficients, 0b00011, d)
-        assert np.allclose(reconstructed, marginal_from_vector(random_counts_5, 0b00011, d))
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        data=st.lists(st.integers(0, 30), min_size=16, max_size=16),
-        mask=st.integers(0, 15),
-    )
-    def test_round_trip_property(self, data, mask):
-        x = np.array(data, dtype=float)
-        coefficients = fourier_coefficients_for_mask(x, mask, 4)
-        assert np.allclose(
-            marginal_from_fourier(coefficients, mask, 4), marginal_from_vector(x, mask, 4)
-        )
-
-    def test_theorem_41_marginal_depends_only_on_dominated_coefficients(self, random_counts_5):
-        """Zeroing coefficients outside the dominated set does not change the marginal."""
-        d = 5
-        mask = 0b00110
-        full = fwht(random_counts_5)
-        truncated = np.zeros_like(full)
-        for beta in range(32):
-            if beta & mask == beta:
-                truncated[beta] = full[beta]
-        reconstructed_vector = fwht(truncated)  # inverse transform of truncated spectrum
-        assert np.allclose(
-            marginal_from_vector(reconstructed_vector, mask, d),
-            marginal_from_vector(random_counts_5, mask, d),
-        )
+            index.coefficient_array_from_mapping({0: 1.0})
