@@ -4,10 +4,14 @@ Three claims of the sharding layer (``repro.shards``) are measured:
 
 * **worker scaling** — the measurement stage of a d = 20 all-2-way release
   over >= 10^5 distinct records, swept over shard/worker counts and both
-  executor kinds; on a multi-core machine (>= 4 cores) the best sharded
-  configuration must be at least 2x faster than the single-shard record
-  backend, and **every** configuration must reproduce the unsharded
-  measurement bitwise;
+  executor kinds, with strategy ``F`` (Fourier coefficients from one
+  trivial batch per 2-way mask); next to it the same sweep with strategy
+  ``Q`` at d = 24 (d = 20 under ``--quick``), wide enough that the planner
+  measures the 2-way cuboids directly.  Both read the pairs off the record
+  kernel's weighted Gram matrix on every shard.  On a multi-core machine (>= 4 cores) the best
+  sharded ``F`` configuration must be at least 2x faster than the
+  single-shard record backend, and **every** configuration of both sweeps
+  must reproduce the unsharded measurement bitwise;
 * **wide domains** — the same sweep at d = 32, where the dense pipeline
   cannot exist at all;
 * **streaming ingestion** — a :class:`~repro.shards.streaming.StreamingSourceBuilder`
@@ -42,6 +46,7 @@ except ModuleNotFoundError:  # pragma: no cover
 
 from repro.core.engine import MarginalReleaseEngine  # noqa: E402
 from repro.domain import Schema  # noqa: E402
+from repro.obs import tracing  # noqa: E402
 from repro.queries import MarginalQuery, MarginalWorkload, all_k_way  # noqa: E402
 from repro.shards import ShardedRecordSource, StreamingSourceBuilder  # noqa: E402
 from repro.sources import RecordSource  # noqa: E402
@@ -73,7 +78,9 @@ def _budget():
     return PrivacyBudget.pure(1.0)
 
 
-def sweep(d: int, workload, configs, n_rows: int, reps: int, seed: int) -> dict:
+def sweep(
+    d: int, workload, configs, n_rows: int, reps: int, seed: int, strategy: str = "F"
+) -> dict:
     """Time the measurement stage per shard layout; assert bitwise identity.
 
     The marginal memo is disabled on every source so repeated timing reps
@@ -81,13 +88,16 @@ def sweep(d: int, workload, configs, n_rows: int, reps: int, seed: int) -> dict:
     """
     codes = _random_codes(d, n_rows, seed)
     base = RecordSource(codes, dimension=d, marginal_cache_size=0)
-    engine = MarginalReleaseEngine(workload, "F", backend="record")
+    engine = MarginalReleaseEngine(workload, strategy, backend="record")
     plan = engine.planner.plan(_budget(), source=base)
 
     def measure(source):
         return engine.executor.measure(plan, source, rng=seed)
 
     reference = measure(base).values
+    with tracing() as recorder:  # which record kernel served the members
+        measure(base)
+    kernels = recorder.metrics.snapshot()["counters"]
     baseline_seconds = _time_best_of(lambda: measure(base), reps)
 
     points = []
@@ -99,7 +109,7 @@ def sweep(d: int, workload, configs, n_rows: int, reps: int, seed: int) -> dict:
         for label, exact in reference.items():
             if not np.array_equal(values[label], exact, equal_nan=True):
                 raise AssertionError(
-                    f"sharded measurement diverged at {shards} shards "
+                    f"sharded {strategy} measurement diverged at {shards} shards "
                     f"({workers} {kind} workers)"
                 )
         seconds = _time_best_of(lambda source=source: measure(source), reps)
@@ -114,10 +124,13 @@ def sweep(d: int, workload, configs, n_rows: int, reps: int, seed: int) -> dict:
             }
         )
     return {
+        "strategy": strategy,
         "d": d,
         "rows": n_rows,
         "distinct_records": base.distinct_records,
         "cuboids": len(workload),
+        "pair_members": kernels.get("source.pair_members", 0.0),
+        "bincount_members": kernels.get("source.bincount_members", 0.0),
         "baseline_measure_seconds": baseline_seconds,
         "points": points,
     }
@@ -186,11 +199,14 @@ def main(argv=None) -> int:
     reps = args.reps if args.reps is not None else (1 if args.quick else 2)
     if args.quick:
         d_sweep, rows = 14, 20_000
+        # Narrower Q domains measure the pairs through materialised roots.
+        q_d = 20
         stream_rows, batch_size = 50_000, 10_000
         configs = [(2, 2, "thread"), (4, 2, "thread")]
         wide_d, wide_rows = None, 0
     else:
         d_sweep, rows = 20, args.rows
+        q_d = 24
         stream_rows, batch_size = args.stream_rows, 100_000
         configs = [
             (2, 2, "thread"),
@@ -205,6 +221,12 @@ def main(argv=None) -> int:
     schema = Schema.binary([f"a{i:02d}" for i in range(d_sweep)])
     workload = all_k_way(schema, 2)
     sweep_report = sweep(d_sweep, workload, configs, rows, reps, args.seed)
+    q_schema = Schema.binary([f"a{i:02d}" for i in range(q_d)])
+    q_sweep_report = sweep(
+        q_d, all_k_way(q_schema, 2), configs, rows, reps, args.seed, "Q"
+    )
+    # The Q sweep exists to cover the sharded pair kernel: it must run there.
+    assert q_sweep_report["pair_members"] > 0, "the Q sweep never ran the pair kernel"
 
     wide_report = None
     if wide_d is not None:
@@ -225,25 +247,30 @@ def main(argv=None) -> int:
             "cores": cores,
             "repetitions": reps,
             "seed": args.seed,
-            "strategy": "F",
+            "strategies": ["F", "Q"],
             "workload": "all 2-way",
         },
         "sweep": sweep_report,
+        "q_sweep": q_sweep_report,
         "wide_sweep": wide_report,
         "streaming": stream_report,
     }
 
-    print(
-        f"d={sweep_report['d']} ({sweep_report['distinct_records']} distinct records, "
-        f"{sweep_report['cuboids']} cuboids, {cores} core(s)): single-shard "
-        f"measurement {sweep_report['baseline_measure_seconds'] * 1e3:.1f} ms"
-    )
-    for point in sweep_report["points"]:
+    for report_ in (sweep_report, q_sweep_report):
         print(
-            f"  {point['shards']} shards x {point['workers']} {point['executor']:>7} "
-            f"workers: {point['measure_seconds'] * 1e3:8.1f} ms "
-            f"({point['speedup']:.2f}x, bitwise identical)"
+            f"{report_['strategy']} d={report_['d']} "
+            f"({report_['distinct_records']} distinct records, "
+            f"{report_['cuboids']} cuboids, {cores} core(s)): single-shard "
+            f"measurement {report_['baseline_measure_seconds'] * 1e3:.1f} ms; "
+            f"{report_['pair_members']:.0f} members from the pair kernel, "
+            f"{report_['bincount_members']:.0f} from the bincount"
         )
+        for point in report_["points"]:
+            print(
+                f"  {point['shards']} shards x {point['workers']} {point['executor']:>7} "
+                f"workers: {point['measure_seconds'] * 1e3:8.1f} ms "
+                f"({point['speedup']:.2f}x, bitwise identical)"
+            )
     if wide_report is not None:
         print(
             f"d={wide_report['d']} ({wide_report['distinct_records']} distinct records, "

@@ -5,14 +5,17 @@ weights)`` arrays of a :class:`~repro.sources.record.RecordSource` into
 ``S`` shards by a stable hash of the code
 (:func:`~repro.shards.partition.shard_of_codes`), computes each requested
 cuboid marginal **per shard** with exactly the record-native kernel
-(projected codes + weighted ``numpy.bincount``) on a worker pool, and sums
-the shard results in fixed shard order.
+(:func:`~repro.sources.record.worklist_marginals`: the weighted Gram matrix
+for members of at most two bits, projected codes + weighted
+``numpy.bincount`` for the rest) on a worker pool, and sums the shard
+results in fixed shard order.
 
 Why the result is bitwise identical to the unsharded source, for any shard
 count ``S`` and any worker count:
 
-* every code lands in exactly one shard, so the per-shard bincounts are a
-  partition of the full bincount's addends;
+* every code lands in exactly one shard, so the per-shard marginals are a
+  partition of the full bincount's addends (each shard's kernel reproduces
+  its own weighted bincount bit for bit, whichever of the two it ran);
 * the count weights are integers, and float64 addition of integers below
   ``2**53`` is exact in *any* order — each per-shard cell value is the exact
   integer sum of its weights, and the cross-shard sum of those integers is
@@ -34,13 +37,11 @@ from collections import deque
 from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.fourier.index import submasks_array
-from repro.fourier.kernels import fwht_inplace
 from repro.obs import runtime as _obs
 from repro.resilience import faults as _faults
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -60,7 +61,8 @@ from repro.sources.record import (
     DEFAULT_MARGINAL_CACHE,
     MarginalMemo,
     RecordSource,
-    projected_marginals,
+    memoised_marginals,
+    worklist_marginals,
 )
 from repro.utils.bits import hamming_weight
 
@@ -72,23 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DISPATCH_OVERHEAD = 256.0
 
 Worklist = Sequence[Tuple[int, Sequence[int]]]
-
-
-def _shard_batch_marginals(
-    codes: np.ndarray, weights: np.ndarray, work: Worklist
-) -> Dict[int, np.ndarray]:
-    """Worker kernel: every requested marginal of one shard, in one task.
-
-    Module-level (not a closure) so process pools can pickle it; thread
-    pools call it directly.  Reuses one set of projected bit planes per
-    batch via :func:`~repro.sources.record.projected_marginals`.
-    """
-    out: Dict[int, np.ndarray] = {}
-    for root, members in work:
-        pending = [member for member in members if member not in out]
-        if pending:
-            out.update(projected_marginals(codes, weights, root, pending))
-    return out
 
 
 def _traced_shard_kernel(
@@ -104,17 +89,18 @@ def _traced_shard_kernel(
     if _faults.ENABLED:
         _faults.fire("shards.task", shard=shard)
     with _obs.trace_span("shards.kernel", shard=shard, records=int(codes.shape[0])):
-        return _shard_batch_marginals(codes, weights, work)
+        return worklist_marginals(codes, weights, work)
 
 
 def _plain_shard_kernel(
     shard: int, codes: np.ndarray, weights: np.ndarray, work: Worklist
 ) -> Dict[int, np.ndarray]:
-    """:func:`_shard_batch_marginals` under the uniform ``(shard, codes,
-    weights, work)`` dispatch signature (module-level for process pools)."""
+    """:func:`~repro.sources.record.worklist_marginals` under the uniform
+    ``(shard, codes, weights, work)`` dispatch signature (module-level for
+    process pools)."""
     if _faults.ENABLED:
         _faults.fire("shards.task", shard=shard)
-    return _shard_batch_marginals(codes, weights, work)
+    return worklist_marginals(codes, weights, work)
 
 
 @dataclass
@@ -510,39 +496,9 @@ class ShardedRecordSource(CountSource):
     def marginals_for_batches(
         self, batches: Sequence[Tuple[int, Sequence[int]]]
     ) -> Dict[int, np.ndarray]:
-        values: Dict[int, np.ndarray] = {}
-        work: List[Tuple[int, Tuple[int, ...]]] = []
-        for root, members in batches:
-            root = self.check_mask(int(root))
-            needed = []
-            for member in members:
-                member = self.check_mask(int(member))
-                if member in values:
-                    continue
-                ensure_dense_allowed(
-                    hamming_weight(member),
-                    limit_bits=self._limit_bits,
-                    what=f"the cuboid marginal {member:#x}",
-                )
-                cached = self._memo.get(member)
-                if cached is not None:
-                    values[member] = cached.copy()
-                else:
-                    needed.append(member)
-            if needed:
-                work.append((root, tuple(needed)))
-        if work:
-            totals = self._reduce_shards(work)
-            for _root, members in work:
-                for member in members:
-                    if member in values:
-                        continue
-                    value = totals[member]
-                    if self._memo.put(member, value):
-                        values[member] = value.copy()
-                    else:
-                        values[member] = value
-        return values
+        return memoised_marginals(
+            self, self._memo, batches, self._reduce_shards, limit_bits=self._limit_bits
+        )
 
     def dense_vector(self) -> np.ndarray:
         ensure_dense_allowed(self._d, limit_bits=self._limit_bits)
@@ -552,38 +508,6 @@ class ShardedRecordSource(CountSource):
                 codes, weights=weights, minlength=self.domain_size
             ).astype(np.float64, copy=False)
         return total
-
-    def fourier_coefficients_for_masks(self, masks: Iterable[int]) -> Dict[int, float]:
-        """Base-class semantics, but every required top marginal is fetched
-        in ONE pool dispatch before the small-Hadamard loop runs.
-
-        The mask ordering, skip logic and per-coefficient arithmetic mirror
-        :meth:`repro.sources.base.CountSource.fourier_coefficients_for_masks`
-        exactly, so the coefficients are bitwise identical — only the
-        marginal supplier is batched.
-        """
-        d = self.dimension
-        scale = 2.0 ** (d / 2.0)
-        ordered = sorted({int(m) for m in masks}, key=hamming_weight, reverse=True)
-        covered: set = set()
-        compute: List[int] = []
-        for mask in ordered:
-            if mask in covered:
-                continue
-            compute.append(mask)
-            covered.update(submasks_array(mask).tolist())
-        marginals = self.marginals_for_batches([(mask, (mask,)) for mask in compute])
-        coefficients: Dict[int, float] = {}
-        for mask in ordered:
-            if mask in coefficients:
-                continue
-            local = marginals[mask]
-            fwht_inplace(local)
-            local /= scale
-            for beta, value in zip(submasks_array(mask).tolist(), local.tolist()):
-                if beta not in coefficients:
-                    coefficients[beta] = value
-        return coefficients
 
     # ------------------------------------------------------------------ #
     # planner hooks

@@ -31,7 +31,7 @@ makes whole seeded releases bitwise identical across backends.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -234,13 +234,24 @@ class CountSource(ABC):
         """
         d = self.dimension
         scale = 2.0 ** (d / 2.0)
+        ordered = sorted({int(m) for m in masks}, key=hamming_weight, reverse=True)
+        # Every top marginal (a mask no earlier mask covers) comes from ONE
+        # worklist, so pooled backends dispatch once and record backends
+        # share one kernel pass.
+        covered: set = set()
+        tops: List[int] = []
+        for mask in ordered:
+            if mask not in covered:
+                tops.append(mask)
+                covered.update(submasks_array(mask).tolist())
+        marginals = self.marginals_for_batches([(mask, (mask,)) for mask in tops])
         coefficients: Dict[int, float] = {}
-        for mask in sorted({int(m) for m in masks}, key=hamming_weight, reverse=True):
+        for mask in ordered:
             if mask in coefficients:
                 continue
-            # marginal() returns a fresh float64 array (contract above), so
-            # the in-place butterfly can run on it directly.
-            local = self.marginal(mask)
+            # The worklist hands out fresh float64 arrays (the marginal()
+            # contract), so the in-place butterfly can run on them directly.
+            local = marginals[mask]
             fwht_inplace(local)
             local /= scale
             for beta, value in zip(submasks_array(mask).tolist(), local.tolist()):

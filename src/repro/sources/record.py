@@ -2,23 +2,41 @@
 
 A :class:`RecordSource` holds deduplicated ``(codes, weights)`` arrays —
 ``codes[i]`` is the packed domain index of one distinct record and
-``weights[i]`` how many tuples carry it.  Any cuboid marginal ``C^alpha x``
-is computed as a weighted ``numpy.bincount`` of the codes projected onto the
-bits of ``alpha`` (the production idiom of workload-marginal libraries:
-project + bincount), costing ``O(k n + 2**k)`` for ``n`` distinct records and
-a ``k``-way marginal — completely independent of the ambient ``2**d``.
+``weights[i]`` how many tuples carry it.  Two kernels compute cuboid
+marginals ``C^alpha x`` from them, both independent of the ambient ``2**d``:
+
+* **pair kernel** — every marginal of at most two bits in a worklist is read
+  off one weighted Gram matrix ``G = P^T diag(w) P`` of the 0/1 bit planes
+  ``P`` of the codes, built in fixed-size row chunks (:func:`pair_marginals`):
+  one ``O(n b**2)`` product over the ``b`` bits the members touch, instead of
+  one pass over the ``n`` distinct records per cuboid;
+* **projected bincount** — every wider member is a weighted
+  ``numpy.bincount`` of the codes projected onto the bits of ``alpha`` (the
+  production idiom of workload-marginal libraries), costing ``O(k n + 2**k)``
+  for a ``k``-way marginal (:func:`projected_marginals`).
 
 The count weights are integers, and float64 addition of integers below
-``2**53`` is exact in any order, so these marginals are bitwise identical to
-the dense cube reductions; seeded releases therefore reproduce exactly
-across backends.
+``2**53`` is exact in any order, so both kernels — and the dense cube
+reductions — give bitwise identical marginals; seeded releases therefore
+reproduce exactly across backends.  The pair kernel runs only when that
+argument holds for its input (:func:`pair_kernel_is_exact`); other weights
+take the projected bincount.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -51,6 +69,30 @@ DEFAULT_MARGINAL_CACHE_CELLS = 1 << 21
 #: Transient cell budget of the plane-sharing batch kernel: at most 2**23
 #: int64 plane cells (64 MiB) held at once per kernel invocation.
 PLANE_CELL_BUDGET = 1 << 23
+
+#: Widest member the pair kernel reads off the Gram matrix.
+PAIR_MAX_BITS = 2
+
+#: Rows of bit planes the pair kernel holds at once: its transient memory is
+#: a few ``PAIR_CHUNK_ROWS x bits`` float64 matrices (2 MiB each at 32 bits),
+#: whatever the record count.
+PAIR_CHUNK_ROWS = 8192
+
+#: Multiply-adds per matrix product of the pair kernel.  Each chunk's Gram
+#: is one stacked product of row blocks this small, which BLAS runs on the
+#: calling thread: the record backends already run one kernel per core (the
+#: shard pool), and BLAS threads nested under it made the kernel bimodal.
+PAIR_BLOCK_MACS = 1 << 18
+
+#: Narrow members a worklist needs per bit they touch before the pair kernel
+#: serves them.  The Gram costs about 1.3 bincount passes per touched bit
+#: (unpacking, selecting and weighting the planes are linear in the bits), so
+#: fewer members are cheaper as separate bincounts — e.g. a lone 2-bit
+#: ``marginal()`` call, which took 3x as long through the Gram.
+PAIR_MIN_MEMBERS_PER_BIT = 2
+
+#: Integers of magnitude below ``2**53`` are exact in float64.
+EXACT_INTEGER_LIMIT = float(1 << 53)
 
 
 class MarginalMemo:
@@ -169,6 +211,178 @@ def projected_marginals(
             compact, weights=weights, minlength=1 << k
         ).astype(np.float64, copy=False)
     return out
+
+
+def pair_kernel_is_exact(weights: np.ndarray) -> bool:
+    """Whether the pair kernel reproduces the weighted bincount bit for bit.
+
+    True when every weight is an integer and ``sum(|w|) < 2**53``: every
+    product, partial sum and difference the Gram route forms is then an
+    integer of magnitude at most ``sum(|w|)``, which float64 represents
+    exactly in any summation order and under any BLAS threading.  The
+    magnitude is summed chunk by chunk; its partial sums only grow and
+    rounding is monotone, so the float total is below ``2**53`` exactly when
+    the true total is.  NaN and infinite weights fail the test.
+    """
+    magnitude = 0.0
+    for start in range(0, weights.shape[0], PAIR_CHUNK_ROWS):
+        chunk = weights[start : start + PAIR_CHUNK_ROWS]
+        if not np.array_equal(chunk, np.trunc(chunk)):
+            return False
+        magnitude += float(np.abs(chunk).sum())
+    return magnitude < EXACT_INTEGER_LIMIT
+
+
+def pair_marginals(
+    codes: np.ndarray, weights: np.ndarray, masks: Iterable[int]
+) -> Dict[int, np.ndarray]:
+    """Marginals of masks of at most two bits from one weighted Gram matrix.
+
+    ``G = P^T diag(w) P`` over the bit planes ``P`` of the bits the masks
+    touch, accumulated over row chunks of :data:`PAIR_CHUNK_ROWS` (the planes
+    come from ``numpy.unpackbits`` over a little-endian byte view of the
+    codes).  With ``W = sum(w)``, each marginal is, in compact order (the
+    lower bit is index bit 0):
+
+    * ``{}``: ``[W]``;
+    * ``{i}``: ``[W - G_ii, G_ii]``;
+    * ``{i < j}``: ``[W - G_ii - G_jj + G_ij, G_ii - G_ij, G_jj - G_ij, G_ij]``.
+
+    Bitwise equal to :func:`projected_marginals` only under
+    :func:`pair_kernel_is_exact`; the caller checks.  The accumulators start
+    at ``+0.0``, so no cell is ever ``-0.0`` (the bincount never yields one).
+    """
+    mask_bits = {int(mask): bit_indices(int(mask)) for mask in masks}
+    bits = sorted({bit for pair in mask_bits.values() for bit in pair})
+    byte_index = sorted({bit >> 3 for bit in bits})
+    slot = {byte: position for position, byte in enumerate(byte_index)}
+    columns = [slot[bit >> 3] * 8 + (bit & 7) for bit in bits]
+    width = len(bits)
+    block = min(PAIR_CHUNK_ROWS, max(1, PAIR_BLOCK_MACS // max(1, width * width)))
+    gram = np.zeros((width, width))
+    total = 0.0
+    for start in range(0, codes.shape[0], PAIR_CHUNK_ROWS):
+        chunk = np.ascontiguousarray(codes[start : start + PAIR_CHUNK_ROWS], dtype="<i8")
+        chunk_weights = weights[start : start + PAIR_CHUNK_ROWS]
+        total += float(chunk_weights.sum())
+        if not bits:
+            continue
+        rows = chunk.shape[0]
+        raw = chunk.view(np.uint8).reshape(rows, 8)[:, byte_index]
+        unpacked = np.unpackbits(raw.reshape(-1), bitorder="little").reshape(rows, -1)
+        # One plane per row of ``planes``; zero columns pad the chunk to
+        # whole blocks and add nothing to G.
+        blocks = -(-rows // block)
+        planes = np.zeros((width, blocks * block))
+        planes[:, :rows] = unpacked[:, columns].T
+        weighted = np.zeros_like(planes)
+        np.multiply(planes[:, :rows], chunk_weights, out=weighted[:, :rows])
+        products = np.matmul(
+            weighted.reshape(width, blocks, block).transpose(1, 0, 2),
+            planes.reshape(width, blocks, block).transpose(1, 2, 0),
+        )
+        gram += products.sum(axis=0)
+    # Python floats are IEEE doubles: the cell arithmetic below is exactly
+    # the float64 arithmetic, without a numpy scalar per operation.
+    position = {bit: index for index, bit in enumerate(bits)}
+    entries = gram.tolist()
+    out: Dict[int, np.ndarray] = {}
+    for mask, pair in mask_bits.items():
+        if not pair:
+            cells = [total]
+        elif len(pair) == 1:
+            one = entries[position[pair[0]]][position[pair[0]]]
+            cells = [total - one, one]
+        else:
+            low, high = position[pair[0]], position[pair[1]]
+            first, second, both = entries[low][low], entries[high][high], entries[low][high]
+            cells = [total - first - second + both, first - both, second - both, both]
+        out[mask] = np.array(cells, dtype=np.float64)
+    return out
+
+
+def worklist_marginals(
+    codes: np.ndarray, weights: np.ndarray, work: Sequence[Tuple[int, Sequence[int]]]
+) -> Dict[int, np.ndarray]:
+    """Every member marginal of a ``(root, members)`` worklist over one code array.
+
+    The kernel of every record backend (one call per worklist, or per shard
+    of one).  Members of at most :data:`PAIR_MAX_BITS` bits are served
+    together by :func:`pair_marginals` when :func:`pair_kernel_is_exact`
+    holds and there are at least :data:`PAIR_MIN_MEMBERS_PER_BIT` of them
+    per bit they touch; every other member takes :func:`projected_marginals`
+    with its batch root.  Either way the values are the weighted bincounts,
+    bit for bit.  Traced runs count the members each kernel computed
+    (``source.pair_members`` / ``source.bincount_members``, per call).
+    """
+    narrow = {
+        int(member)
+        for _root, members in work
+        for member in members
+        if hamming_weight(int(member)) <= PAIR_MAX_BITS
+    }
+    touched = 0
+    for member in narrow:
+        touched |= member
+    out: Dict[int, np.ndarray] = {}
+    if (
+        narrow
+        and len(narrow) >= PAIR_MIN_MEMBERS_PER_BIT * hamming_weight(touched)
+        and pair_kernel_is_exact(weights)
+    ):
+        out = pair_marginals(codes, weights, narrow)
+    paired = len(out)
+    for root, members in work:
+        pending = [member for member in members if member not in out]
+        if pending:
+            out.update(projected_marginals(codes, weights, root, pending))
+    if _obs.ENABLED:
+        _obs.counter_inc("source.pair_members", paired)
+        _obs.counter_inc("source.bincount_members", len(out) - paired)
+    return out
+
+
+def memoised_marginals(
+    source: CountSource,
+    memo: MarginalMemo,
+    batches: Sequence[Tuple[int, Sequence[int]]],
+    compute: Callable[[List[Tuple[int, Tuple[int, ...]]]], Dict[int, np.ndarray]],
+    *,
+    limit_bits: int,
+) -> Dict[int, np.ndarray]:
+    """The ``marginals_for_batches`` of the record backends around their memo.
+
+    Validates every mask, serves memo hits as fresh copies, hands the rest
+    to ``compute`` as ONE worklist (each member once) and memoises what it
+    returns; callers own every returned array.
+    """
+    values: Dict[int, np.ndarray] = {}
+    work: List[Tuple[int, Tuple[int, ...]]] = []
+    seen = set()
+    for root, members in batches:
+        root = source.check_mask(int(root))
+        needed: List[int] = []
+        for member in members:
+            member = source.check_mask(int(member))
+            if member in seen:
+                continue
+            seen.add(member)
+            ensure_dense_allowed(
+                hamming_weight(member),
+                limit_bits=limit_bits,
+                what=f"the cuboid marginal {member:#x}",
+            )
+            cached = memo.get(member)
+            if cached is not None:
+                values[member] = cached.copy()
+            else:
+                needed.append(member)
+        if needed:
+            work.append((root, tuple(needed)))
+    if work:
+        for member, value in compute(work).items():
+            values[member] = value.copy() if memo.put(member, value) else value
+    return values
 
 
 class RecordSource(CountSource):
@@ -338,65 +552,27 @@ class RecordSource(CountSource):
 
     # ------------------------------------------------------------------ #
     def marginal(self, mask: int) -> np.ndarray:
-        mask = self.check_mask(mask)
-        ensure_dense_allowed(
-            hamming_weight(mask),
-            limit_bits=self._limit_bits,
-            what=f"the cuboid marginal {mask:#x}",
-        )
-        cached = self._memo.get(mask)
-        if cached is not None:
-            return cached.copy()
-        value = projected_marginals(self._codes, self._weights, mask, (mask,))[mask]
-        return self._memo_out(mask, value)
-
-    def _memo_out(self, mask: int, value: np.ndarray) -> np.ndarray:
-        """Store a freshly computed marginal and hand out a caller-owned array."""
-        if self._memo.put(mask, value):
-            return value.copy()
-        return value
+        return self.marginals_for_batches([(mask, (mask,))])[int(mask)]
 
     def marginals_for_batches(
         self, batches: Sequence[Tuple[int, Sequence[int]]]
     ) -> Dict[int, np.ndarray]:
-        observing = _obs.ENABLED
-        values: Dict[int, np.ndarray] = {}
-        for root, members in batches:
-            root = self.check_mask(int(root))
-            needed = []
-            for member in members:
-                member = self.check_mask(int(member))
-                if member in values:
-                    continue
-                ensure_dense_allowed(
-                    hamming_weight(member),
-                    limit_bits=self._limit_bits,
-                    what=f"the cuboid marginal {member:#x}",
-                )
-                cached = self._memo.get(member)
-                if cached is not None:
-                    values[member] = cached.copy()
-                else:
-                    needed.append(member)
-            if not needed:
-                continue
-            if observing:
-                started = time.perf_counter()
-                with _obs.trace_span(
-                    "source.batch", root=f"{root:#x}", members=len(needed)
-                ):
-                    computed = projected_marginals(
-                        self._codes, self._weights, root, needed
-                    )
-                _obs.observe("source.batch_seconds", time.perf_counter() - started)
-                _obs.counter_inc("source.batches")
-            else:
-                computed = projected_marginals(
-                    self._codes, self._weights, root, needed
-                )
-            for member, value in computed.items():
-                values[member] = self._memo_out(member, value)
-        return values
+        return memoised_marginals(
+            self, self._memo, batches, self._compute, limit_bits=self._limit_bits
+        )
+
+    def _compute(
+        self, work: List[Tuple[int, Tuple[int, ...]]]
+    ) -> Dict[int, np.ndarray]:
+        if not _obs.ENABLED:
+            return worklist_marginals(self._codes, self._weights, work)
+        _obs.counter_inc("source.batches", len(work))
+        with _obs.trace_span(
+            "source.worklist",
+            batches=len(work),
+            members=sum(len(members) for _root, members in work),
+        ):
+            return worklist_marginals(self._codes, self._weights, work)
 
     def dense_vector(self) -> np.ndarray:
         ensure_dense_allowed(self._d, limit_bits=self._limit_bits)

@@ -3,12 +3,14 @@
 A :class:`MappedRecordSource` is a :class:`~repro.shards.sharded.ShardedRecordSource`
 whose per-shard ``(codes, weights)`` arrays are ``np.memmap`` views of the
 on-disk encoded-source files (see :mod:`repro.store.encoded`) instead of
-in-memory copies.  The projected-bincount and batched-marginal kernels are
-unchanged — numpy ufuncs read the mapped pages directly, so nothing is
-copied into Python-owned memory before the scan.  Because the on-disk layout
-*is* the stable-hash partition of the deduplicated arrays, every per-shard
-bincount — and therefore every seeded release — is bitwise identical to the
-in-memory backends.
+in-memory copies.  The record kernel
+(:func:`~repro.sources.record.worklist_marginals`: weighted Gram matrix for
+members of at most two bits, projected bincount for the rest) is unchanged —
+numpy reads the mapped pages directly (the Gram matrix one row chunk at a
+time), so nothing is copied into Python-owned memory before the scan.
+Because the on-disk layout *is* the stable-hash partition of the
+deduplicated arrays, every per-shard marginal — and therefore every seeded
+release — is bitwise identical to the in-memory backends.
 
 Memory behaviour: file-backed pages touched by a scan do count toward RSS,
 so after each shard's kernel finishes the wrapper advises the kernel to drop
@@ -30,13 +32,14 @@ from repro.resilience import faults as _faults
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.shards.partition import resolve_worker_count
 from repro.shards.pool import check_executor_kind
-from repro.shards.sharded import ShardedRecordSource, Worklist, _shard_batch_marginals
+from repro.shards.sharded import ShardedRecordSource, Worklist
 from repro.sources.base import DENSE_LIMIT_BITS
 from repro.sources.record import (
     DEFAULT_MARGINAL_CACHE,
     DEFAULT_MARGINAL_CACHE_CELLS,
     MAX_RECORD_BITS,
     MarginalMemo,
+    worklist_marginals,
 )
 from repro.store.layout import release_pages
 from repro.utils.bits import hamming_weight
@@ -55,7 +58,7 @@ def _mapped_shard_kernel(
     """One shard's batched marginals, then drop the shard's mapped pages.
 
     The release keeps RSS flat across a multi-shard scan: pages stream in,
-    feed the projected-bincount kernel, and are returned to the OS before
+    feed the record kernel, and are returned to the OS before
     the next shard starts (per worker).  The page cache may retain them, so
     warm re-scans stay fast — only this process's residency is bounded.
 
@@ -68,10 +71,10 @@ def _mapped_shard_kernel(
         _faults.fire("store.read", shard=shard)
     if _obs.ENABLED:
         with _obs.trace_span("shards.kernel", shard=shard, records=int(codes.shape[0])):
-            out = _shard_batch_marginals(codes, weights, work)
+            out = worklist_marginals(codes, weights, work)
         _obs.counter_inc("store.bytes_read", float(codes.nbytes + weights.nbytes))
     else:
-        out = _shard_batch_marginals(codes, weights, work)
+        out = worklist_marginals(codes, weights, work)
     release_pages(codes)
     release_pages(weights)
     return out

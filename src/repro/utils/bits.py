@@ -78,12 +78,10 @@ def dominates(alpha: int, beta: int) -> bool:
 def bit_indices(mask: int) -> Tuple[int, ...]:
     """Return the (sorted, ascending) indices of the set bits of ``mask``."""
     indices = []
-    index = 0
     while mask:
-        if mask & 1:
-            indices.append(index)
-        mask >>= 1
-        index += 1
+        lowest = mask & -mask
+        indices.append(lowest.bit_length() - 1)
+        mask ^= lowest
     return tuple(indices)
 
 
