@@ -15,7 +15,9 @@ Three claims of the sharding layer (``repro.shards``) are measured:
 * **wide domains** — the same sweep at d = 32, where the dense pipeline
   cannot exist at all;
 * **streaming ingestion** — a :class:`~repro.shards.streaming.StreamingSourceBuilder`
-  ingesting >= 10^6 rows batch by batch in bounded memory (the full code
+  ingesting >= 10^6 rows of per-attribute record batches over a
+  mixed-width schema through ``add_records`` (each batch validated and
+  packed by the schema's record encoder) in bounded memory (the full code
   array never exists in the builder), verified exactly against a one-shot
   source over the same rows.
 
@@ -45,7 +47,8 @@ except ModuleNotFoundError:  # pragma: no cover
     sys.path.insert(0, str(_SRC))
 
 from repro.core.engine import MarginalReleaseEngine  # noqa: E402
-from repro.domain import Schema  # noqa: E402
+from repro.data.loader import _batch_code_dtype  # noqa: E402
+from repro.domain import Attribute, Schema  # noqa: E402
 from repro.obs import tracing  # noqa: E402
 from repro.queries import MarginalQuery, MarginalWorkload, all_k_way  # noqa: E402
 from repro.shards import ShardedRecordSource, StreamingSourceBuilder  # noqa: E402
@@ -136,32 +139,50 @@ def sweep(
     }
 
 
-def streaming_ingest(d: int, rows: int, batch_size: int, seed: int) -> dict:
-    """Ingest ``rows`` in batches under tracemalloc; verify exactly."""
-    builder = StreamingSourceBuilder(dimension=d)
+#: Mixed-width schema of the streaming ingest (20 bits, padding cells in
+#: every non-power-of-two attribute).
+STREAM_CARDINALITIES = (2, 3, 5, 9, 4, 7, 3, 6)
+
+
+def _record_batch(schema: Schema, n_rows: int, seed: int) -> np.ndarray:
+    """Per-attribute codes in the CSV loader's narrow batch dtype."""
+    cards = np.array([attribute.cardinality for attribute in schema.attributes])
+    uniform = np.random.default_rng(seed).random((n_rows, cards.size))
+    return (uniform * cards).astype(_batch_code_dtype(schema))
+
+
+def streaming_ingest(rows: int, batch_size: int, seed: int) -> dict:
+    """Ingest ``rows`` record batches through the encoder under tracemalloc;
+    verify exactly against a one-shot source over the same rows."""
+    schema = Schema(
+        [Attribute(f"s{i}", card) for i, card in enumerate(STREAM_CARDINALITIES)]
+    )
+    d = schema.total_bits
+    builder = StreamingSourceBuilder(schema)
     batches = rows // batch_size
     tracemalloc.start()
     start = time.perf_counter()
     for index in range(batches):
-        builder.add_codes(_random_codes(d, batch_size, seed + index))
+        builder.add_records(_record_batch(schema, batch_size, seed + index))
     elapsed = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert builder.rows_ingested == batches * batch_size
 
     source = builder.build(shards=4, workers=2)
-    reference = RecordSource(
+    reference = RecordSource.from_records(
+        schema,
         np.concatenate(
-            [_random_codes(d, batch_size, seed + index) for index in range(batches)]
+            [_record_batch(schema, batch_size, seed + index) for index in range(batches)]
         ),
-        dimension=d,
     )
     assert source.total == reference.total
-    for mask in (0b11, 0b110000, (1 << 10) - 1):
+    for mask in (0b11, 0b110000, (1 << 10) - 1, schema.mask_of(["s3", "s5"])):
         if not np.array_equal(source.marginal(mask), reference.marginal(mask)):
             raise AssertionError("streamed source diverged from the one-shot source")
     return {
         "d": d,
+        "cardinalities": list(STREAM_CARDINALITIES),
         "rows": batches * batch_size,
         "batch_size": batch_size,
         "distinct_records": source.distinct_records,
@@ -240,7 +261,7 @@ def main(argv=None) -> int:
             args.seed,
         )
 
-    stream_report = streaming_ingest(20, stream_rows, batch_size, args.seed)
+    stream_report = streaming_ingest(stream_rows, batch_size, args.seed)
 
     report = {
         "config": {
@@ -284,7 +305,7 @@ def main(argv=None) -> int:
                 f"({point['speedup']:.2f}x)"
             )
     print(
-        f"streaming: {stream_report['rows']} rows in "
+        f"streaming: {stream_report['rows']} records (d={stream_report['d']}) in "
         f"{stream_report['ingest_seconds']:.2f} s "
         f"({stream_report['rows_per_second'] / 1e6:.2f}M rows/s), "
         f"peak {stream_report['ingest_peak_mib']:.1f} MiB, exact vs one-shot"

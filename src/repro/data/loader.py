@@ -189,8 +189,9 @@ def _batch_code_dtype(schema: Schema) -> np.dtype:
     Batch matrices hold *per-attribute* codes (bounded by the largest
     attribute cardinality, not the packed domain), so uint8 covers most real
     schemas — an 8x memory cut per buffered batch against plain int64.
-    ``Schema.encode_records`` widens to int64 internally, so narrowed
-    batches pack to identical domain codes.
+    ``Schema.check_records`` validates a batch in its own dtype and widens
+    it to int64 only after, for the packing product, so narrowed batches
+    pack to identical domain codes.
     """
     top = max(attribute.cardinality - 1 for attribute in schema.attributes)
     for dtype in (np.uint8, np.uint16, np.uint32):

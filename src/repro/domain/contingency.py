@@ -13,7 +13,7 @@ marginal without ever materialising a ``2**k x N`` matrix.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -194,10 +194,10 @@ class ContingencyTable:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_records(
-        cls, schema: Schema, records: Union[np.ndarray, Iterable[Iterable[int]]]
+        cls, schema: Schema, records: Union[np.ndarray, Sequence[Sequence[int]]]
     ) -> "ContingencyTable":
         """Build the table by counting encoded records."""
-        indices = schema.encode_records(np.asarray(list(records) if not isinstance(records, np.ndarray) else records))
+        indices = schema.encode_records(records)
         counts = np.bincount(indices, minlength=schema.domain_size).astype(np.float64)
         return cls(schema, counts, copy=False)
 

@@ -29,7 +29,10 @@ class Dataset:
         The schema of the records.
     records:
         2-D integer array of shape ``(n_records, n_attributes)``; each value
-        must lie in the corresponding attribute's domain.
+        must lie in the corresponding attribute's domain.  Validated once, by
+        :meth:`~repro.domain.schema.Schema.check_records` (raising
+        :class:`~repro.exceptions.DataError`); an int64 matrix is kept
+        without a copy.
     name:
         Optional human-readable name (used in reports and benchmarks).
     """
@@ -41,21 +44,7 @@ class Dataset:
         *,
         name: Optional[str] = None,
     ):
-        matrix = np.asarray(records, dtype=np.int64)
-        if matrix.size == 0:
-            matrix = matrix.reshape(0, len(schema))
-        if matrix.ndim != 2 or matrix.shape[1] != len(schema):
-            raise DataError(
-                f"records must have one column per attribute ({len(schema)}), "
-                f"got shape {matrix.shape}"
-            )
-        for column, attr in enumerate(schema.attributes):
-            if matrix.shape[0] and (
-                matrix[:, column].min() < 0 or matrix[:, column].max() >= attr.cardinality
-            ):
-                raise DataError(
-                    f"column {attr.name!r} contains values outside [0, {attr.cardinality})"
-                )
+        matrix = schema.check_records(records, error=DataError)
         self._schema = schema
         self._records = matrix
         self._name = name or "dataset"
@@ -110,7 +99,7 @@ class Dataset:
         both the record-native count source and the dense cube build.
         """
         if self._encoded is None:
-            codes = self._schema.encode_records(self._records)
+            codes = self._schema.pack_records(self._records)
             unique, counts = np.unique(codes, return_counts=True)
             self._encoded = (unique, counts.astype(np.float64))
         return self._encoded
@@ -256,4 +245,4 @@ class Dataset:
         cls, schema: Schema, tuples: Iterable[Sequence[int]], *, name: Optional[str] = None
     ) -> "Dataset":
         """Build a dataset from an iterable of per-attribute value tuples."""
-        return cls(schema, np.asarray(list(tuples), dtype=np.int64), name=name)
+        return cls(schema, list(tuples), name=name)

@@ -12,12 +12,12 @@ vectors of the paper's Section 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
 from repro.domain.attribute import Attribute
-from repro.exceptions import DomainSizeError, SchemaError
+from repro.exceptions import DomainSizeError, ReproError, SchemaError
 
 AttributeRef = Union[str, int, Attribute]
 
@@ -70,6 +70,12 @@ class Schema:
             offset += attr.bits
         self._blocks: Tuple[_BitBlock, ...] = tuple(blocks)
         self._total_bits = offset
+        # Per-column cardinalities and packing weights ``1 << offset`` of the
+        # vectorised record path (check_records / pack_records).
+        self._cardinalities = np.array([attr.cardinality for attr in attrs], dtype=np.uint64)
+        self._bit_weights = np.left_shift(
+            np.int64(1), np.array([block.offset for block in blocks], dtype=np.int64)
+        )
 
     # ------------------------------------------------------------------ #
     # basic introspection
@@ -241,23 +247,80 @@ class Schema:
             values.append(code)
         return tuple(values)
 
+    def check_records(
+        self,
+        records: Union[np.ndarray, Sequence[Sequence[int]]],
+        *,
+        error: Type[ReproError] = SchemaError,
+    ) -> np.ndarray:
+        """Validate a record matrix and return it as an ``(n, d)`` int64 matrix.
+
+        The one record validator of the library: every value must be a whole
+        number inside its attribute's domain ``[0, cardinality)``; ``error``
+        (raised on the first offending column) lets callers keep their own
+        exception type.  Zero rows — ``[]`` included — give an empty
+        ``(0, d)`` matrix.  Float input must hold whole numbers (fractional,
+        NaN and infinite values are rejected before the int64 cast); integer
+        and bool input of any width are accepted.  An int64 matrix is
+        returned as is (no copy), in whatever memory order it has.
+        """
+        matrix = np.asarray(records)
+        columns = len(self._attributes)
+        if matrix.ndim == 1 and matrix.shape[0] == 0:
+            matrix = matrix.reshape(0, columns)
+        if matrix.ndim != 2 or matrix.shape[1] != columns:
+            raise error(
+                "records must be a 2-D array with one column per attribute "
+                f"({columns}), got shape {matrix.shape}"
+            )
+        if matrix.dtype.kind not in "iu":
+            with np.errstate(invalid="ignore"):
+                if matrix.dtype.kind == "f":
+                    residue = np.trunc(matrix)
+                    residue -= matrix  # NaN for NaN and ±inf, nonzero for fractions
+                    attr = self._first_flagged(np.any(residue != 0, axis=0))
+                    if attr is not None:
+                        raise error(
+                            f"column {attr.name!r} contains values that are not whole "
+                            "numbers (fractional, NaN or infinite)"
+                        )
+                    del residue
+                # Whole floats past the int64 range cast to an out-of-range
+                # value, which the range check below rejects.
+                matrix = matrix.astype(np.int64)
+        # One column-wise max over the unsigned view: a negative value wraps
+        # to at least 2**(bits - 1), so capping each cardinality there makes
+        # the single comparison catch values below 0 and at or above it.
+        limits = self._cardinalities
+        if matrix.dtype.kind == "i":
+            limits = np.minimum(limits, np.uint64(1) << np.uint64(8 * matrix.itemsize - 1))
+        unsigned = matrix.view(np.dtype(f"u{matrix.itemsize}"))
+        attr = self._first_flagged(unsigned.max(axis=0, initial=0) >= limits)
+        if attr is not None:
+            raise error(f"column {attr.name!r} contains values outside [0, {attr.cardinality})")
+        if matrix.dtype != np.int64:
+            matrix = matrix.astype(np.int64)
+        return matrix
+
+    def _first_flagged(self, flags: np.ndarray) -> Optional[Attribute]:
+        """The attribute of the lowest-index column set in ``flags``, if any."""
+        flagged = np.flatnonzero(flags)
+        return self._attributes[int(flagged[0])] if flagged.size else None
+
+    def pack_records(self, matrix: np.ndarray) -> np.ndarray:
+        """Pack a matrix returned by :meth:`check_records` into domain indices.
+
+        One int64 product with the per-column weights ``1 << offset``: the
+        validated values of each column fit inside their attribute's bit
+        block and the blocks are disjoint, so the sum is the bitwise OR.
+        Values that skipped :meth:`check_records` can overflow into other
+        blocks; use :meth:`encode_records` for unchecked input.
+        """
+        return matrix @ self._bit_weights
+
     def encode_records(self, records: Union[np.ndarray, Sequence[Sequence[int]]]) -> np.ndarray:
         """Vectorised version of :meth:`encode_record` for a record matrix."""
-        matrix = np.asarray(records, dtype=np.int64)
-        if matrix.ndim != 2 or matrix.shape[1] != len(self._attributes):
-            raise SchemaError(
-                "records must be a 2-D array with one column per attribute "
-                f"({len(self._attributes)}), got shape {matrix.shape}"
-            )
-        indices = np.zeros(matrix.shape[0], dtype=np.int64)
-        for column, (attr, block) in enumerate(zip(self._attributes, self._blocks)):
-            values = matrix[:, column]
-            if values.min(initial=0) < 0 or values.max(initial=0) >= attr.cardinality:
-                raise SchemaError(
-                    f"column {attr.name!r} contains values outside [0, {attr.cardinality})"
-                )
-            indices |= values.astype(np.int64) << block.offset
-        return indices
+        return self.pack_records(self.check_records(records))
 
     # ------------------------------------------------------------------ #
     # serialization

@@ -175,10 +175,15 @@ def _unreadable_report(release_id: str, error: object) -> Dict[str, object]:
     }
 
 
+def _json_text(payload: Dict[str, object]) -> str:
+    """Compact, key-sorted JSON of the store's metadata and index files."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _write_json_atomic(path: Path, payload: Dict[str, object]) -> None:
     """Write JSON via a temp file + rename so readers never see a torn file."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    tmp.write_text(_json_text(payload))
     os.replace(tmp, path)
 
 
@@ -439,7 +444,7 @@ class ReleaseStore:
             # injected between the two leaves only the staging directory,
             # which readers never look at — and the final rename below
             # publishes the whole release or nothing.
-            (staging / _META_FILE).write_text(json.dumps(meta, indent=2, sort_keys=True))
+            (staging / _META_FILE).write_text(_json_text(meta))
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise

@@ -240,7 +240,7 @@ class ShardedRecordSource(CountSource):
         limit_bits: Optional[int] = None,
     ) -> "ShardedRecordSource":
         """Encode, deduplicate and shard a record matrix over ``schema``."""
-        codes = schema.encode_records(np.asarray(records, dtype=np.int64))
+        codes = schema.encode_records(records)
         return cls(
             codes,
             dimension=schema.total_bits,

@@ -217,10 +217,10 @@ class StreamingSourceBuilder:
         """Ingest one batch of records (rows of per-attribute codes)."""
         if self._schema is None:
             raise DataError("add_records needs a builder constructed with a schema")
-        matrix = np.asarray(records, dtype=np.int64)
-        if matrix.size == 0:
+        codes = self._schema.encode_records(records)
+        if codes.size == 0:
             return self
-        return self.add_codes(self._schema.encode_records(matrix))
+        return self.add_codes(codes)
 
     def add_csv(
         self,

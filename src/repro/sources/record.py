@@ -469,7 +469,7 @@ class RecordSource(CountSource):
         limit_bits: Optional[int] = None,
     ) -> "RecordSource":
         """Encode and deduplicate a record matrix over ``schema``."""
-        codes = schema.encode_records(np.asarray(records, dtype=np.int64))
+        codes = schema.encode_records(records)
         return cls(
             codes, dimension=schema.total_bits, schema=schema, limit_bits=limit_bits
         )
