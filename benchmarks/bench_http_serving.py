@@ -195,9 +195,7 @@ def _drain_under_fire(
 ) -> Dict[str, int]:
     """Drain a server while clients hammer it; count what each side saw."""
     service = QueryService(store, cache_size=0, batch_workers=workers)
-    background = BackgroundServer(
-        service, ServerConfig(port=0, batch_window_ms=1.0)
-    )
+    background = BackgroundServer(service, ServerConfig(port=0))
     host, port = background.start()
     stop = threading.Event()
     tallies: List[Dict[str, int]] = []
@@ -310,7 +308,7 @@ def main(argv=None) -> int:
         ]
 
         service = QueryService(store, cache_size=0, batch_workers=workers)
-        config = ServerConfig(port=0, batch_window_ms=1.0, max_pending=4096)
+        config = ServerConfig(port=0, max_pending=4096)
         with BackgroundServer(service, config) as background:
             _http_pass(background.address, batch_jobs[:1], 1)  # warm
             http_seconds = float("inf")
@@ -321,6 +319,8 @@ def main(argv=None) -> int:
                 )
                 if wall < http_seconds:
                     http_seconds, results = wall, pass_results
+            # The /statsz batching block: are concurrent requests coalescing?
+            http_flush = background.server.server_stats()["batching"]["mean_flush_size"]
 
             # Correctness gate before any timing is believed.
             for position, (outcome, expected) in enumerate(
@@ -348,19 +348,18 @@ def main(argv=None) -> int:
                 overload_service = QueryService(
                     store, cache_size=0, batch_workers=2
                 )
-                overload_config = ServerConfig(
-                    port=0, batch_window_ms=0.5, max_pending=2
-                )
+                overload_config = ServerConfig(port=0, max_pending=2)
                 with BackgroundServer(
                     overload_service, overload_config
                 ) as overloaded:
                     _, uncontended = _http_pass(
                         overloaded.address, single_jobs, 1
                     )
-                    _, contended = _http_pass(
+                    overload_seconds, contended = _http_pass(
                         overloaded.address, single_jobs, overload_clients
                     )
                     overload_stats = overloaded.server.server_stats()
+                overload_flush = overload_stats["batching"]["mean_flush_size"]
                 statuses = {outcome[0] for outcome in contended}
                 assert statuses <= {200, 503}, f"unexpected statuses {statuses}"
                 accepted = [o[2] for o in contended if o[0] == 200]
@@ -409,6 +408,7 @@ def main(argv=None) -> int:
             "ratio_vs_in_process": http_qps / in_qps,
             "request_p50_ms": round(_percentile(latencies, 0.50) * 1e3, 3),
             "request_p99_ms": round(_percentile(latencies, 0.99) * 1e3, 3),
+            "mean_flush_size": http_flush,
         },
         "overload": {
             "total": len(single_jobs),
@@ -416,6 +416,8 @@ def main(argv=None) -> int:
             "shed": shed,
             "shed_rate": shed / len(single_jobs),
             "shed_by_reason": overload_stats["admission"]["shed_by_reason"],
+            "requests_per_s": len(single_jobs) / overload_seconds,
+            "mean_flush_size": overload_flush,
             "max_pending": 2,
             "uncontended_p99_ms": round(uncontended_p99 * 1e3, 3),
             "accepted_p99_ms": round(accepted_p99 * 1e3, 3),
@@ -438,23 +440,25 @@ def main(argv=None) -> int:
         [
             "in-process", in_qps,
             report["in_process"]["chunk_p50_ms"],
-            report["in_process"]["chunk_p99_ms"], 1.0,
+            report["in_process"]["chunk_p99_ms"], 1.0, "-",
         ],
         [
             f"http x{clients}", http_qps,
             report["http"]["request_p50_ms"],
             report["http"]["request_p99_ms"],
             report["http"]["ratio_vs_in_process"],
+            http_flush,
         ],
     ]
     table = format_table(
-        ["path", "queries/s", "p50 ms", "p99 ms", "vs in-process"],
+        ["path", "queries/s", "p50 ms", "p99 ms", "vs in-process", "mean flush"],
         rows,
         float_format="{:.4g}",
     )
     print(table)
     print(
-        f"overload x{overload_clients}: shed {shed}/{len(single_jobs)} "
+        f"overload x{overload_clients}: {report['overload']['requests_per_s']:.4g} requests/s, "
+        f"mean flush {overload_flush:.3g}, shed {shed}/{len(single_jobs)} "
         f"({report['overload']['shed_rate']:.0%}), accepted p99 "
         f"{report['overload']['accepted_p99_ms']:.2f} ms vs uncontended "
         f"{report['overload']['uncontended_p99_ms']:.2f} ms"

@@ -411,13 +411,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "X-Deadline-Ms header (default: none)",
     )
     parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=1.0,
-        help="micro-batching window: concurrent requests arriving within it "
-        "coalesce into one grouped aggregation (0 disables coalescing)",
-    )
-    parser.add_argument(
         "--max-batch", type=int, default=512, help="queries per coalesced batch"
     )
     parser.add_argument(
@@ -541,7 +534,6 @@ def _main_serve(argv: Sequence[str]) -> int:
             workers=args.workers,
             max_pending=args.max_pending,
             default_deadline_ms=args.deadline_ms,
-            batch_window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
             drain_grace_s=args.drain_grace,
             breaker_threshold=args.breaker_threshold,

@@ -1,7 +1,6 @@
 """Differential-privacy primitives: noise distributions, sensitivity, budgets."""
 
 from repro.mechanisms.privacy import PrivacyBudget
-from repro.mechanisms.accountant import LedgerEntry, PrivacyAccountant
 from repro.mechanisms.noise import (
     laplace_noise,
     gaussian_noise,
@@ -21,8 +20,6 @@ from repro.mechanisms.gaussian import GaussianMechanism
 
 __all__ = [
     "PrivacyBudget",
-    "PrivacyAccountant",
-    "LedgerEntry",
     "laplace_noise",
     "gaussian_noise",
     "laplace_scale_for_budget",

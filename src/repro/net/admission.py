@@ -118,10 +118,11 @@ class AdmissionController:
         """Report ``weight`` queries finished after ``elapsed_s`` seconds.
 
         Pass ``elapsed_s=0`` to only free the slots: wall time measured at
-        the request includes queue and batch-window wait, and coalesced
-        requests would each report the whole batch's wall time — N single
-        queries in one batch would inflate the EWMA ~N-fold.  The batch
-        runner feeds the estimate via :meth:`observe` instead.
+        the request includes queue wait and the wait behind an in-flight
+        batch, and coalesced requests would each report the whole batch's
+        wall time — N single queries in one batch would inflate the EWMA
+        ~N-fold.  The batch runner feeds the estimate via :meth:`observe`
+        instead.
         """
         weight = max(1, int(weight))
         self._pending = max(0, self._pending - weight)
@@ -133,7 +134,7 @@ class AdmissionController:
     def observe(self, weight: int, elapsed_s: float) -> None:
         """Fold one service-time sample (``weight`` queries, one execution)
         into the EWMA — ``elapsed_s`` must cover execution only, not queue
-        or batching-window wait."""
+        wait or the wait behind an in-flight batch."""
         weight = max(1, int(weight))
         if elapsed_s > 0:
             per_query = elapsed_s / weight

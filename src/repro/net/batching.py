@@ -4,9 +4,11 @@ The in-process :meth:`~repro.serving.service.QueryService.query_batch`
 aggregates each ``(release, source cuboid, aggregation target)`` group
 once, however many requests land in it — but only if the requests arrive
 in the *same call*.  The :class:`MicroBatcher` recovers that grouping for
-independent HTTP clients: requests admitted within a short window (or up
-to ``max_batch`` queries, whichever fills first) are concatenated into one
-``query_batch`` call and the answers split back per request.
+independent HTTP clients by group commit: a request for an idle release
+dispatches at once, and requests arriving while that release's batch is in
+flight queue behind it and flush together when it finishes (or as soon as
+``max_batch`` queries are queued).  Each flush is one ``query_batch`` call
+whose answers are split back per request.
 
 Deadline discipline: each enqueued request carries its absolute deadline;
 at flush time, requests already past their deadline are completed with
@@ -45,7 +47,7 @@ class _Entry:
 
 
 class MicroBatcher:
-    """Window-based coalescing in front of an async batch runner.
+    """Group-commit coalescing in front of an async batch runner.
 
     ``runner(requests, release_id)`` must return an awaitable resolving to
     one answer per request (the server wraps ``query_batch`` in an
@@ -60,16 +62,14 @@ class MicroBatcher:
             [List[QueryRequest], Optional[str]], Awaitable[List[ServedAnswer]]
         ],
         *,
-        window_s: float = 0.001,
         max_batch: int = 512,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._runner = runner
-        self._window_s = max(0.0, float(window_s))
         self._max_batch = int(max_batch)
         self._queues: dict = {}  # release_id -> List[_Entry]
-        self._timers: dict = {}  # release_id -> TimerHandle
+        self._running: dict = {}  # release_id -> batches in flight
         self._inflight: Set[asyncio.Task] = set()
         self._flushes = 0
         self._coalesced_requests = 0
@@ -88,18 +88,11 @@ class MicroBatcher:
         queue = self._queues.setdefault(release_id, [])
         queue.append(entry)
         queued = sum(len(item.requests) for item in queue)
-        if queued >= self._max_batch or self._window_s == 0.0:
+        if release_id not in self._running or queued >= self._max_batch:
             self._flush(release_id)
-        elif release_id not in self._timers:
-            self._timers[release_id] = loop.call_later(
-                self._window_s, self._flush, release_id
-            )
         return await future
 
     def _flush(self, release_id: Optional[str]) -> None:
-        timer = self._timers.pop(release_id, None)
-        if timer is not None:
-            timer.cancel()
         queue = self._queues.pop(release_id, None)
         if not queue:
             return
@@ -128,8 +121,17 @@ class MicroBatcher:
         if _obs.ENABLED:
             _obs.observe("net.batch.flush_size", float(len(flat)))
         task = loop.create_task(self._run(live, flat, release_id))
+        self._running[release_id] = self._running.get(release_id, 0) + 1
         self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        task.add_done_callback(lambda done: self._finished(done, release_id))
+
+    def _finished(self, task: asyncio.Task, release_id: Optional[str]) -> None:
+        """Done-callback: retire ``task``, then flush what queued behind it."""
+        self._inflight.discard(task)
+        running = self._running.pop(release_id) - 1
+        if running:
+            self._running[release_id] = running
+        self._flush(release_id)
 
     async def _run(
         self,
@@ -161,7 +163,8 @@ class MicroBatcher:
                 entry.future.set_result(chunk)
 
     async def drain(self) -> None:
-        """Flush every queue and wait for all in-flight batch tasks."""
+        """Flush every queue and wait until no batch is in flight, including
+        batches that completion callbacks start meanwhile."""
         for release_id in list(self._queues):
             self._flush(release_id)
         while self._inflight:
@@ -171,7 +174,6 @@ class MicroBatcher:
         """Flush counters for ``/statsz``."""
         flushes = self._flushes
         return {
-            "window_ms": self._window_s * 1000.0,
             "max_batch": self._max_batch,
             "flushes": flushes,
             "coalesced_requests": self._coalesced_requests,

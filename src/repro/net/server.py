@@ -35,7 +35,7 @@ import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import (
     CorruptMarginalError,
@@ -93,7 +93,6 @@ class ServerConfig:
     max_pending: int = 1024
     default_deadline_ms: Optional[float] = None
     max_deadline_ms: float = 600_000.0
-    batch_window_ms: float = 1.0
     max_batch: int = 512
     max_body_bytes: int = 8 << 20
     drain_grace_s: float = 10.0
@@ -105,22 +104,10 @@ class ServerConfig:
             raise NetError(f"max_pending must be >= 1, got {self.max_pending}")
         if self.max_batch < 1:
             raise NetError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.batch_window_ms < 0:
-            raise NetError(f"batch_window_ms must be >= 0, got {self.batch_window_ms}")
         if self.drain_grace_s < 0:
             raise NetError(f"drain_grace_s must be >= 0, got {self.drain_grace_s}")
         if self.workers is not None and self.workers < 1:
             raise NetError(f"workers must be >= 1, got {self.workers}")
-
-
-def _service_workers(service: QueryService) -> int:
-    """The service's batch-dispatch width (fallback: cpu count)."""
-    import os
-
-    workers = getattr(service, "_batch_workers", None)
-    if isinstance(workers, int) and workers >= 1:
-        return workers
-    return max(2, os.cpu_count() or 2)
 
 
 class QueryServer:
@@ -129,18 +116,14 @@ class QueryServer:
     def __init__(self, service: QueryService, config: Optional[ServerConfig] = None):
         self._service = service
         self._config = config or ServerConfig()
-        workers = self._config.workers or _service_workers(service)
+        workers = self._config.workers or service.batch_workers
         self.workers = workers
         self._admission = AdmissionController(self._config.max_pending, workers)
         self._breaker = ReleaseBreaker(
             threshold=self._config.breaker_threshold,
             cooldown_s=self._config.breaker_cooldown_s,
         )
-        self._batcher = MicroBatcher(
-            self._run_batch,
-            window_s=self._config.batch_window_ms / 1000.0,
-            max_batch=self._config.max_batch,
-        )
+        self._batcher = MicroBatcher(self._run_batch, max_batch=self._config.max_batch)
         self._executor: Optional[ThreadPoolExecutor] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._draining = False
@@ -204,10 +187,6 @@ class QueryServer:
         if self._executor is not None:
             self._executor.shutdown(wait=False)
         return self._drain_report
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     # ---------------------------------------------------------- connection
 
@@ -395,7 +374,8 @@ class QueryServer:
 
         Also the admission EWMA's sample source: batch elapsed divided by
         batch weight is the true per-query execution time, free of the
-        queue and batching-window wait that per-request wall time includes.
+        admission-queue wait and the wait behind an in-flight batch that
+        per-request wall time includes.
         """
         loop = asyncio.get_running_loop()
         assert self._executor is not None

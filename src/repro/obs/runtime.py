@@ -23,7 +23,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional, Union
 
-from repro.obs.ledger import BudgetCharge
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS
 from repro.obs.tracer import NOOP_SPAN, NoopSpan, Recorder, Span
 
@@ -105,10 +104,3 @@ def observe(name: str, value: float, edges=DEFAULT_TIME_BUCKETS) -> None:
     active = _RECORDER
     if ENABLED and active is not None:
         active.metrics.histogram(name, edges).observe(value)
-
-
-def charge(budget_charge: BudgetCharge) -> None:
-    """Append a charge to the active ledger (no-op when off)."""
-    active = _RECORDER
-    if ENABLED and active is not None:
-        active.ledger.charge(budget_charge)

@@ -146,17 +146,6 @@ class MarginalWorkload:
             coefficients.update(iter_submasks(query.mask))
         return tuple(sorted(coefficients))
 
-    def cell_index(self) -> List[Tuple[int, int]]:
-        """Flat indexing of all released cells as ``(query position, cell)`` pairs.
-
-        The order matches the concatenation used by
-        :meth:`true_answers_flat` and by the recovery/consistency code.
-        """
-        index: List[Tuple[int, int]] = []
-        for position, query in enumerate(self._queries):
-            index.extend((position, cell) for cell in range(query.size))
-        return index
-
     # ------------------------------------------------------------------ #
     # evaluation
     # ------------------------------------------------------------------ #

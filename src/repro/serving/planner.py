@@ -314,17 +314,6 @@ class QueryPlanner:
         """The release this planner serves."""
         return self._release
 
-    @property
-    def released_masks(self) -> Tuple[int, ...]:
-        """Masks of the released cuboids, in workload order."""
-        return tuple(self._positions)
-
-    def cell_variance(self, mask: int) -> float:
-        """Expected per-cell variance of the released cuboid ``mask``."""
-        if mask not in self._cell_variances:
-            raise ServingError(f"cuboid {mask:#x} was not released")
-        return self._cell_variances[mask]
-
     def covering_masks(self, mask: int) -> List[int]:
         """Released cuboids that dominate ``mask`` (can answer it exactly)."""
         return self._index.ancestors(mask)

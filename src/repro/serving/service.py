@@ -261,7 +261,9 @@ class QueryService:
             raise ServingError(
                 f"batch_workers must be at least 1, got {batch_workers}"
             )
-        self._batch_workers = int(batch_workers) if batch_workers is not None else None
+        self._batch_workers = (
+            int(batch_workers) if batch_workers is not None else (os.cpu_count() or 1)
+        )
         self._cache_size = cache_size
         # Hit/miss counters stay cumulative across the per-epoch caches.
         self._cache_stats = CacheStats(metric_prefix="serving.cache")
@@ -281,6 +283,11 @@ class QueryService:
     def store(self) -> Optional[ReleaseStore]:
         """The backing store (``None`` in single-release mode)."""
         return self._store
+
+    @property
+    def batch_workers(self) -> int:
+        """Threads a grouped batch aggregates on (``batch_workers`` resolved)."""
+        return self._batch_workers
 
     @property
     def cache(self) -> AnswerCache:
@@ -619,8 +626,7 @@ class QueryService:
 
         Output is bitwise independent of the dispatch order — each group's
         reduction touches only its own source cuboid."""
-        workers = self._batch_workers if self._batch_workers is not None else (os.cpu_count() or 1)
-        workers = min(workers, len(groups))
+        workers = min(self.batch_workers, len(groups))
 
         def run() -> List[Tuple[Optional[np.ndarray], Optional[CorruptMarginalError]]]:
             if workers > 1:

@@ -575,11 +575,6 @@ class ReleaseStore:
             "corrupt": corrupt,
         }
 
-    @property
-    def unreadable_releases(self) -> Dict[str, str]:
-        """Releases skipped by the last reindex (id -> parse error)."""
-        return dict(self._unreadable)
-
     def verify_all(self) -> Dict[str, object]:
         """Run :meth:`verify` over every release; aggregate store health.
 

@@ -139,10 +139,6 @@ class EncodedSourceWriter:
         """The final (published) directory."""
         return self._final
 
-    @property
-    def entries_written(self) -> int:
-        return sum(writer.count for writer in self._code_writers)
-
     def append(self, codes: np.ndarray, weights: np.ndarray) -> None:
         """Route one sorted deduplicated chunk to the shard files."""
         if self._closed:  # pragma: no cover - internal misuse

@@ -146,11 +146,6 @@ class NpyStreamWriter:
             self._handle = None
         self._path.unlink(missing_ok=True)
 
-    @property
-    def digest(self) -> str:
-        """sha256 of the data bytes written so far."""
-        return self._digest.hexdigest()
-
 
 def sha256_of_array(values: np.ndarray) -> str:
     """sha256 of an array's raw little-endian data bytes.

@@ -67,7 +67,7 @@ def to_request(obj: dict) -> QueryRequest:
 def paired(service, store, client_factory):
     """The HTTP server plus a reference service fed the same sequence."""
     reference = QueryService(store)
-    config = ServerConfig(port=0, batch_window_ms=0.0)
+    config = ServerConfig(port=0)
     with BackgroundServer(service, config) as background:
         yield client_factory(background.address), reference
 
@@ -135,7 +135,7 @@ class TestDegradedEquivalence:
     ):
         service = QueryService(ReleaseStore(corrupt_store_dir, create=False))
         reference = QueryService(ReleaseStore(corrupt_store_dir, create=False))
-        config = ServerConfig(port=0, batch_window_ms=0.0)
+        config = ServerConfig(port=0)
         queries = [
             {"attributes": ["a"]},          # quarantines, then degrades
             {"attributes": ["a"]},          # degraded again (memoised route)

@@ -27,7 +27,7 @@ from repro.serving.service import QueryService
 
 @pytest.fixture
 def server(service, client_factory):
-    config = ServerConfig(port=0, batch_window_ms=0.0)
+    config = ServerConfig(port=0)
     with BackgroundServer(service, config) as background:
         yield background
 
@@ -95,7 +95,7 @@ class TestRetryableFaultPlansNeverCorruptAnswers:
         self, service, store, client_factory
     ):
         reference = QueryService(store)
-        config = ServerConfig(port=0, batch_window_ms=0.0)
+        config = ServerConfig(port=0)
         plan = FaultPlan(
             [
                 FaultSpec("net.read", rate=0.3),

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.net.protocol import answer_payload, encode_canonical
-from repro.net.server import BackgroundServer, ServerConfig
+from repro.net.server import BackgroundServer, QueryServer, ServerConfig
 from repro.obs import tracing
 from repro.serving.service import QueryService
 from repro.serving.store import ReleaseStore
@@ -17,7 +20,7 @@ from repro.serving.store import ReleaseStore
 
 @pytest.fixture
 def server(service, client_factory):
-    config = ServerConfig(port=0, batch_window_ms=0.5)
+    config = ServerConfig(port=0)
     with BackgroundServer(service, config) as background:
         yield background
 
@@ -168,7 +171,7 @@ class TestShedding:
     def test_oversized_batch_sheds_with_503_and_retry_after(
         self, service, client_factory
     ):
-        config = ServerConfig(port=0, max_pending=2, batch_window_ms=0.0)
+        config = ServerConfig(port=0, max_pending=2)
         with BackgroundServer(service, config) as background:
             client = client_factory(background.address)
             queries = [{"attributes": ["a"]}] * 5  # weight 5 > max_pending 2
@@ -184,21 +187,44 @@ class TestShedding:
             assert stats["admission"]["shed_by_reason"]["queue_full"] == 1
 
     def test_expired_deadline_is_504_and_never_aggregated(
-        self, service, client_factory
+        self, service, client_factory, monkeypatch
     ):
-        # A 150ms batching window with a 1ms budget: the deadline expires
-        # while queued, so the flush must drop the request un-aggregated.
-        config = ServerConfig(port=0, batch_window_ms=150.0)
-        with BackgroundServer(service, config) as background:
-            client = client_factory(background.address)
+        # Hold one request's batch in flight so a second request queues
+        # behind it; the second's deadline clears admission's wait estimate
+        # but expires before the hold ends, so the completion flush must
+        # drop it un-aggregated.
+        gate = threading.Event()
+        entered = threading.Event()
+        query_batch = service.query_batch
+
+        def held_query_batch(requests, release_id=None):
+            entered.set()
+            gate.wait(timeout=30.0)
+            return query_batch(requests, release_id=release_id)
+
+        monkeypatch.setattr(service, "query_batch", held_query_batch)
+        with BackgroundServer(service, ServerConfig(port=0)) as background:
             batches_before = service.stats()["batches"]
-            status, _, body = client.post_json(
-                "/v1/query",
-                {"attributes": ["a", "b"]},
-                headers={"X-Deadline-Ms": "1"},
-            )
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                held = pool.submit(
+                    client_factory(background.address).post_json,
+                    "/v1/query",
+                    {"attributes": ["a"]},
+                )
+                assert entered.wait(timeout=10.0)
+                timer = threading.Timer(0.5, gate.set)
+                timer.start()
+                try:
+                    status, _, _ = client_factory(background.address).post_json(
+                        "/v1/query",
+                        {"attributes": ["a", "b"]},
+                        headers={"X-Deadline-Ms": "100"},
+                    )
+                finally:
+                    timer.join(timeout=10.0)
+                assert held.result(timeout=10.0)[0] == 200
             assert status == 504
-            assert service.stats()["batches"] == batches_before
+            assert service.stats()["batches"] == batches_before + 1
 
     def test_draining_requests_get_503(self, server, client_factory):
         client = client_factory(server.address)
@@ -219,7 +245,7 @@ class TestDrain:
     ):
         import socket
 
-        config = ServerConfig(port=0, batch_window_ms=0.5)
+        config = ServerConfig(port=0)
         background = BackgroundServer(service, config)
         host, port = background.start()
         client = client_factory((host, port))
@@ -270,9 +296,7 @@ class TestBreaker:
         self, corrupt_store, client_factory
     ):
         service = QueryService(corrupt_store)
-        config = ServerConfig(
-            port=0, batch_window_ms=0.0, breaker_threshold=1, breaker_cooldown_s=60.0
-        )
+        config = ServerConfig(port=0, breaker_threshold=1, breaker_cooldown_s=60.0)
         with BackgroundServer(service, config) as background:
             client = client_factory(background.address)
             # First pinned query: served, but degraded (quarantined source).
@@ -303,7 +327,7 @@ class TestBreaker:
         # Regression: a request-validation 400 used to count as a breaker
         # failure, so one misbehaving client pinning a release could 503
         # everyone else's valid pinned traffic and flip /readyz.
-        config = ServerConfig(port=0, batch_window_ms=0.0, breaker_threshold=1)
+        config = ServerConfig(port=0, breaker_threshold=1)
         with BackgroundServer(service, config) as background:
             client = client_factory(background.address)
             bad = {"attributes": ["zz"], "release": "release-0001"}
@@ -327,10 +351,7 @@ class TestBreaker:
         import time
 
         service = QueryService(corrupt_store)
-        config = ServerConfig(
-            port=0, batch_window_ms=0.0, breaker_threshold=1,
-            breaker_cooldown_s=0.2,
-        )
+        config = ServerConfig(port=0, breaker_threshold=1, breaker_cooldown_s=0.2)
         with BackgroundServer(service, config) as background:
             client = client_factory(background.address)
             pinned = {"attributes": ["a"], "release": "release-0001"}
@@ -354,7 +375,7 @@ class TestBreaker:
 class TestObservability:
     def test_request_spans_and_gauges_reach_statsz(self, store, client_factory):
         service = QueryService(store)
-        config = ServerConfig(port=0, batch_window_ms=0.0)
+        config = ServerConfig(port=0)
         with tracing() as recorder:
             with BackgroundServer(service, config) as background:
                 client = client_factory(background.address)
@@ -368,3 +389,17 @@ class TestObservability:
         assert payload["span_durations"]["net.request"]["count"] == 3
         assert payload["metrics"]["gauges"]["net.queue_depth"] == 0.0
         assert recorder.metrics.snapshot()["counters"]["net.requests"] >= 3
+
+
+class TestWorkers:
+    def test_edge_and_service_agree_on_the_worker_count(self, store, monkeypatch):
+        # Regression: with no explicit count the edge sized its executor and
+        # admission estimate for max(2, cpu_count) workers while the service
+        # aggregated on cpu_count — 2 vs 1 on a one-core host.
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        service = QueryService(store)
+        server = QueryServer(service)
+        assert service.batch_workers == 1
+        assert server.workers == 1
+        assert server.server_stats()["admission"]["workers"] == 1
+        assert QueryServer(QueryService(store, batch_workers=3)).workers == 3
