@@ -1,4 +1,4 @@
-"""Out-of-core storage tier: spilled ingestion, mapped release, v2 serving.
+"""Out-of-core storage tier: spilled ingestion, mapped release, v3 serving.
 
 Three claims of the storage tier (``repro.store``) are measured:
 
@@ -11,13 +11,12 @@ Three claims of the storage tier (``repro.store``) are measured:
   of the shard files with per-shard page release, so RSS stays flat while
   every byte on disk is scanned (and, in ``--quick`` mode, the released
   values are verified bitwise against the fully in-memory pipeline);
-* **store layout rule** — ``ReleaseStore.put`` writes the v1 archive for
-  small marginal vectors and raw v2 ``.npy`` files for large ones
-  (``V2_MIN_VECTOR_BYTES``); the layout the store chose for the release is
-  reported, and put + cold open+first query are timed in both layouts at a
-  small (32 B x 496) and a large (512 KiB x 15) vector size, forced through
-  that constant.  The full run asserts the rule's pick is the faster one at
-  both sizes.
+* **one store layout** — ``ReleaseStore.put`` writes every release as one
+  memory-mapped ``marginals.npy`` (v3).  Its put + cold open+first query is
+  timed against the legacy v2 writer (one raw ``.npy`` per vector, kept in
+  ``tests/store_files.py`` for the legacy readers' tests) at a small
+  (32 B x 496) and a large (512 KiB x 15) vector size.  The full run asserts
+  that v3 is no slower than v2 at either size.
 
 Usage::
 
@@ -29,7 +28,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import resource
 import shutil
@@ -41,16 +39,16 @@ from pathlib import Path
 
 import numpy as np
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
+_ROOT = Path(__file__).resolve().parent.parent
 try:  # pragma: no cover - import shim for uninstalled checkouts
     import repro  # noqa: F401
 except ModuleNotFoundError:  # pragma: no cover
-    sys.path.insert(0, str(_SRC))
+    sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT))  # for tests.store_files, the legacy v2 writer
 
 from repro.core.engine import MarginalReleaseEngine, release_marginals  # noqa: E402
 from repro.domain import Schema  # noqa: E402
 from repro.queries import MarginalQuery, MarginalWorkload  # noqa: E402
-from repro.serving import store as store_module  # noqa: E402
 from repro.serving.service import QueryService  # noqa: E402
 from repro.serving.store import ReleaseStore  # noqa: E402
 from repro.shards import StreamingSourceBuilder  # noqa: E402
@@ -59,8 +57,8 @@ from repro.store import open_source, parse_memory_budget, read_manifest  # noqa:
 
 RESULTS_PATH = Path(__file__).resolve().parent / "results" / "oocore.json"
 
-#: (bits per attribute, attributes) of the all-pairs releases timed in both
-#: layouts: 4-cell (32 B) x 496 and 65536-cell (512 KiB) x 15 vectors.
+#: (bits per attribute, attributes) of the all-pairs releases timed in v3
+#: and legacy v2: 4-cell (32 B) x 496 and 65536-cell (512 KiB) x 15 vectors.
 LAYOUT_SIZES = {"small": (1, 32), "large": (8, 6)}
 
 
@@ -75,9 +73,9 @@ def peak_rss_mib() -> float:
 def oocore_workload(d: int, wide_masks: int, wide_bits: int) -> MarginalWorkload:
     """Single-bit marginals plus ``wide_masks`` disjoint ``wide_bits``-bit cuboids.
 
-    The wide cuboids make the stored release big enough that the v1-vs-v2
-    serving comparison measures real archive decompression, while the
-    single-bit queries exercise the batched mapped kernels.
+    The wide cuboids make the stored release big enough that storing and
+    serving it moves real data, while the single-bit queries exercise the
+    batched mapped kernels.
     """
     schema = Schema.binary([f"a{i:02d}" for i in range(d)])
     masks = [1 << i for i in range(min(d, 12))]
@@ -121,17 +119,6 @@ def ingest_to_store(
     }
 
 
-@contextlib.contextmanager
-def forced_layout(layout: str):
-    """Make ``ReleaseStore.put`` write ``layout`` whatever the vector size."""
-    saved = store_module.V2_MIN_VECTOR_BYTES
-    store_module.V2_MIN_VECTOR_BYTES = {"v1": float("inf"), "v2": 0}[layout]
-    try:
-        yield
-    finally:
-        store_module.V2_MIN_VECTOR_BYTES = saved
-
-
 def pair_release(bits: int, attributes: int, seed: int):
     """All 2-way cuboids over ``attributes`` groups of ``bits`` binary columns."""
     d = bits * attributes
@@ -152,23 +139,35 @@ def pair_release(bits: int, attributes: int, seed: int):
     )
 
 
-def time_layout(release, root: Path, rounds: int) -> dict:
-    """Medians of ``rounds`` put / cold open + first query / delete rounds."""
+def write_legacy_v2(store: ReleaseStore, release) -> str:
+    """Store ``release`` as the pre-v3 writer did for large vectors."""
+    from tests.store_files import write_legacy_release
+
+    return write_legacy_release(store, release, "v2")
+
+
+#: How each timed layout is written: ``put`` for v3, the legacy writer for v2.
+WRITERS = {"v3": lambda store, release: store.put(release), "v2": write_legacy_v2}
+
+
+def time_layout(release, root: Path, rounds: int, layout: str) -> dict:
+    """Medians of ``rounds`` write / cold open + first query / delete rounds."""
     name = release.workload.schema.attributes[0].name
     store = ReleaseStore(root)
+    write = WRITERS[layout]
     puts, opens = [], []
     for _ in range(rounds):
         start = time.perf_counter()
-        release_id = store.put(release)
+        release_id = write(store, release)
         puts.append(time.perf_counter() - start)
         start = time.perf_counter()
         service = QueryService(ReleaseStore(root, create=False))
         answer = service.query([name], release_id=release_id)
         opens.append(time.perf_counter() - start)
-        layout = store.metadata(release_id)["layout"]
+        written = store.metadata(release_id)["layout"]
         store.delete(release_id)
     return {
-        "layout": layout,
+        "layout": written,
         "put_seconds": statistics.median(puts),
         "cold_open_query_seconds": statistics.median(opens),
         "values": answer.values.tolist(),
@@ -176,19 +175,18 @@ def time_layout(release, root: Path, rounds: int) -> dict:
 
 
 def serving_comparison(result, base: Path, rounds: int, seed: int) -> dict:
-    """The layout chosen for ``result``; both layouts timed at two vector sizes."""
+    """The layout ``result`` is stored in; v3 and legacy v2 timed at two vector sizes."""
     store = ReleaseStore(base / "store-release")
     chosen = store.metadata(store.put(result))["layout"]
     sizes = {}
     for size, (bits, attributes) in LAYOUT_SIZES.items():
         release = pair_release(bits, attributes, seed)
-        timings = {"rule": time_layout(release, base / f"store-{size}-rule", 1)["layout"]}
-        for layout in ("v1", "v2"):
-            with forced_layout(layout):
-                timings[layout] = time_layout(release, base / f"store-{size}-{layout}", rounds)
+        timings = {}
+        for layout in WRITERS:
+            timings[layout] = time_layout(release, base / f"store-{size}-{layout}", rounds, layout)
             assert timings[layout]["layout"] == layout
         # Identical answers from both layouts — the layout is pure representation.
-        assert timings["v1"].pop("values") == timings["v2"].pop("values")
+        assert timings["v3"].pop("values") == timings["v2"].pop("values")
         timings["vector_bytes"] = int(release.marginals[0].nbytes)
         timings["vectors"] = len(release.marginals)
         sizes[size] = timings
@@ -300,12 +298,12 @@ def main(argv=None) -> int:
         print(f"release stored as {serving['chosen_layout']}")
         for size, timing in serving["sizes"].items():
             print(
-                f"{size} ({timing['vector_bytes']} B x {timing['vectors']}, rule "
-                f"picks {timing['rule']}): put / cold open+query "
+                f"{size} ({timing['vector_bytes']} B x {timing['vectors']}): "
+                "put / cold open+query "
                 + ", ".join(
                     f"{layout} {timing[layout]['put_seconds'] * 1e3:.1f} / "
                     f"{timing[layout]['cold_open_query_seconds'] * 1e3:.1f} ms"
-                    for layout in ("v1", "v2")
+                    for layout in WRITERS
                 )
             )
 
@@ -325,10 +323,10 @@ def main(argv=None) -> int:
                 seconds = {
                     layout: timing[layout]["put_seconds"]
                     + timing[layout]["cold_open_query_seconds"]
-                    for layout in ("v1", "v2")
+                    for layout in WRITERS
                 }
-                assert seconds[timing["rule"]] == min(seconds.values()), (
-                    f"{size} vectors: the layout rule picked the slower layout {seconds}"
+                assert seconds["v3"] <= seconds["v2"], (
+                    f"{size} vectors: v3 put + cold open+query is slower than v2 {seconds}"
                 )
             RESULTS_PATH.parent.mkdir(exist_ok=True)
             RESULTS_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

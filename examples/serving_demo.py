@@ -38,7 +38,7 @@ def main() -> None:
           f"under epsilon = {release.budget.epsilon:g}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        # 2. Persist: JSON metadata + NPZ vectors, indexed by cuboid mask.
+        # 2. Persist: JSON metadata + one memory-mapped .npy, indexed by cuboid mask.
         store = ReleaseStore(Path(tmp) / "store")
         release_id = store.put(release)
         print(f"stored as {release_id!r} under {store.root}\n")

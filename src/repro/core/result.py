@@ -112,8 +112,8 @@ class ReleaseResult:
 
         With ``include_marginals=False`` the (potentially large) marginal
         vectors are omitted; callers then persist them out of band (e.g. the
-        :class:`~repro.serving.store.ReleaseStore` writes them to an NPZ
-        archive) and pass them back to :meth:`from_dict` explicitly.
+        :class:`~repro.serving.store.ReleaseStore` writes them to one ``.npy``
+        file) and pass them back to :meth:`from_dict` explicitly.
         """
         payload: Dict[str, object] = {
             "format_version": RELEASE_FORMAT_VERSION,

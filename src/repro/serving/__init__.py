@@ -5,7 +5,8 @@ The release engine (:mod:`repro.core`) ends with a one-shot
 into a persistent, queryable service:
 
 * :class:`~repro.serving.store.ReleaseStore` — versioned on-disk storage
-  (JSON metadata + NPZ marginal vectors) with a cuboid-mask index;
+  (JSON metadata + one memory-mapped ``.npy`` of the marginal vectors)
+  with a cuboid-mask index;
 * :class:`~repro.serving.planner.QueryPlanner` — answers arbitrary
   sub-marginal, point and slice queries from the released cuboid lattice,
   always choosing the minimum-expected-variance covering cuboid;

@@ -1,33 +1,29 @@
 """Persistent, versioned storage of private releases.
 
-A :class:`ReleaseStore` is a directory of releases, one sub-directory each.
-Two layouts coexist::
+A :class:`ReleaseStore` is a directory of releases, one sub-directory each::
 
     <root>/
         index.json                  # store-level index (rebuildable)
-        release-0001/               # v1 layout (compressed archive)
+        release-0001/
             meta.json               # ReleaseResult.to_dict(include_marginals=False)
-            marginals.npz           # one array per released cuboid
-        release-0002/               # v2 layout (zero-copy serving)
-            meta.json
-            marginals/
-                marginal_00000.npy  # raw float64, opened with mmap_mode="r"
-                marginal_00001.npy
-                ...
+            marginals.npy           # every marginal vector, concatenated
 
 ``meta.json`` carries everything needed to rebuild the
 :class:`~repro.core.result.ReleaseResult` — schema, workload masks, noise
-allocation, strategy name — plus a ``marginals_layout`` tag.  The **v1**
-layout stores the marginal vectors in one compressed NPZ archive: compact,
-but the whole archive is decompressed on open.  The **v2** layout stores
-each vector as a raw aligned ``.npy`` file that :meth:`ReleaseStore.get`
-opens with ``mmap_mode="r"`` — a cold open touches no data pages, and
-:class:`~repro.serving.service.QueryService` serves slices straight off the
-page cache.  :meth:`ReleaseStore.put` picks the layout from the release
-itself: many small vectors cost less as one archive than as many files, large
-vectors cost less mapped (see :data:`V2_MIN_VECTOR_BYTES`).  Both layouts are
-written staged-then-rename, so a crashed put leaves the store fully old,
-never torn.
+allocation, strategy name — plus a ``marginals_layout`` tag and one sha256
+digest per marginal vector.  :meth:`ReleaseStore.put` writes every release in
+the **v3** layout: one uncompressed float64 ``.npy`` file holding the
+marginal vectors back to back in workload order.  No offset table is stored:
+vector ``i`` has ``query.size`` cells, so its slice follows from the workload
+masks.  :meth:`ReleaseStore.get` opens the file once with ``mmap_mode="r"``
+and hands out zero-copy slices — a cold open touches no data pages, and
+:class:`~repro.serving.service.QueryService` serves straight off the page
+cache.  A digest mismatch on one slice quarantines that cuboid alone.
+
+Releases written by earlier builds stay servable read-only: **v1** keeps the
+vectors in one compressed ``marginals.npz`` archive, **v2** as one raw
+``marginals/marginal_NNNNN.npy`` file per vector.  Every release is written
+staged-then-rename, so a crashed put leaves the store fully old, never torn.
 
 The store-level ``index.json`` caches per-release summaries (released masks,
 strategy, budget, layout) so that queries can be routed to a covering release without
@@ -44,6 +40,8 @@ import shutil
 import time
 import warnings
 import zipfile
+from bisect import bisect_right
+from itertools import accumulate
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
@@ -53,30 +51,31 @@ from repro.core.result import RELEASE_FORMAT_VERSION, ReleaseResult
 from repro.exceptions import CorruptMarginalError, DataError, ReproError, ServingError
 from repro.obs import runtime as _obs
 from repro.plan.lattice import CoveringIndex
-from repro.store.layout import replace_directory, sha256_of_array, staging_path
-from repro.utils.bits import dominated_by
+from repro.store.layout import (
+    NPY_HEADER_BYTES,
+    _npy_header,
+    replace_directory,
+    sha256_of_array,
+    staging_path,
+)
+from repro.utils.bits import dominated_by, hamming_weight
 
-STORE_FORMAT_VERSION = 2
+STORE_FORMAT_VERSION = 3
 
-#: Mean marginal-vector bytes from which ``put`` writes the v2 layout.
-V2_MIN_VECTOR_BYTES = 16384  # put + open+query tie here; v1 wins at 8 KiB, v2 at 32 KiB (README)
-
+_LAYOUT = "v3"
+_FLOAT64 = np.dtype(np.float64)
 _INDEX_FILE = "index.json"
 _META_FILE = "meta.json"
-_MARGINALS_FILE = "marginals.npz"
-_MARGINALS_DIR = "marginals"
+_MARGINALS_FILE = "marginals.npy"
+# Read-only legacy layouts: v1 (one NPZ archive), v2 (one .npy per vector).
+_LEGACY_ARCHIVE = "marginals.npz"
+_LEGACY_VECTORS_DIR = "marginals"
 _MARGINAL_KEY = "marginal_{position:05d}"
 _RELEASE_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
 def _marginal_keys(count: int) -> List[str]:
     return [_MARGINAL_KEY.format(position=position) for position in range(count)]
-
-
-def _layout_for(arrays: List[np.ndarray]) -> str:
-    """The layout ``put`` writes: v2 for large vectors, v1 for small ones."""
-    mean_bytes = sum(array.nbytes for array in arrays) / max(len(arrays), 1)
-    return "v2" if mean_bytes >= V2_MIN_VECTOR_BYTES else "v1"
 
 
 def _layout_of(meta: Dict[str, object]) -> str:
@@ -89,16 +88,70 @@ def _read_marginals(
 ) -> List[np.ndarray]:
     """Read one release's marginal vectors in whichever layout it was written."""
     masks = [int(mask) for mask in meta["workload"]["masks"]]  # type: ignore[index, call-overload]
-    if _layout_of(meta) == "v2":
+    layout = _layout_of(meta)
+    if layout == _LAYOUT:
+        return _map_concatenated(directory, release_id, masks)
+    if layout == "v2":
         return _map_vectors(directory, release_id, masks)
     return _read_archive(directory, release_id, masks)
 
 
-def _read_archive(directory: Path, release_id: str, masks: List[int]) -> List[np.ndarray]:
-    """Read the v1 NPZ archive: one pass, each array read exactly once."""
-    marginals_path = directory / _MARGINALS_FILE
-    if not marginals_path.exists():
+def _map_concatenated(
+    directory: Path, release_id: str, masks: List[int]
+) -> List[np.ndarray]:
+    """Map the v3 ``marginals.npy`` once and slice it per cuboid, zero-copy.
+
+    Vector ``i`` holds ``query.size == 2**popcount(mask)`` cells, so the
+    slice offsets follow from the masks alone.  A file of the wrong length
+    is refused before mapping; a short one names the first cuboid whose
+    slice runs past its end, so the service can quarantine precisely.
+    """
+    path = directory / _MARGINALS_FILE
+    if not path.exists():
         raise ServingError(f"release {release_id!r} is missing {_MARGINALS_FILE}")
+    ends = list(accumulate(1 << hamming_weight(mask) for mask in masks))
+    total = ends[-1] if ends else 0
+    expected = NPY_HEADER_BYTES + total * _FLOAT64.itemsize
+    size = path.stat().st_size
+    if size != expected:
+        cells = max(size - NPY_HEADER_BYTES, 0) // _FLOAT64.itemsize
+        position = bisect_right(ends, cells)
+        mask = masks[position] if position < len(masks) else None
+        where = f"cuboid {mask:#x} runs past its end" if mask is not None else "trailing bytes"
+        raise CorruptMarginalError(
+            f"marginal file {path} of release {release_id!r} is truncated or "
+            f"corrupt: {size} bytes, expected {expected} ({where})",
+            mask=mask,
+            release_id=release_id,
+        )
+    try:
+        flat = np.load(path, mmap_mode="r")
+    except (ValueError, OSError) as error:
+        raise CorruptMarginalError(
+            f"marginal file {path} of release {release_id!r} is truncated or "
+            f"corrupt — {error}",
+            release_id=release_id,
+        ) from error
+    if flat.dtype != _FLOAT64 or flat.shape != (total,):
+        raise CorruptMarginalError(
+            f"marginal file {path} of release {release_id!r} is truncated or "
+            f"corrupt: holds {flat.dtype} {flat.shape}, expected float64 ({total},)",
+            release_id=release_id,
+        )
+    if _obs.ENABLED:
+        _obs.counter_inc("store.opens")
+        _obs.gauge_set("store.bytes_mapped", float(flat.nbytes))
+    # Slice a plain-ndarray view of the mapping: memmap slices cost several
+    # times more to create, and the pages stay mapped through the base chain.
+    whole = flat.view(np.ndarray)
+    return [whole[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def _read_archive(directory: Path, release_id: str, masks: List[int]) -> List[np.ndarray]:
+    """Read the legacy v1 NPZ archive: one pass, each array read exactly once."""
+    marginals_path = directory / _LEGACY_ARCHIVE
+    if not marginals_path.exists():
+        raise ServingError(f"release {release_id!r} is missing {_LEGACY_ARCHIVE}")
     marginals: List[np.ndarray] = []
     try:
         archive_cm = np.load(marginals_path)
@@ -128,10 +181,10 @@ def _read_archive(directory: Path, release_id: str, masks: List[int]) -> List[np
 
 
 def _map_vectors(directory: Path, release_id: str, masks: List[int]) -> List[np.ndarray]:
-    """Map the v2 raw ``.npy`` vectors — no data pages are touched."""
-    vectors = directory / _MARGINALS_DIR
+    """Map the legacy v2 raw ``.npy`` vectors — no data pages are touched."""
+    vectors = directory / _LEGACY_VECTORS_DIR
     if not vectors.is_dir():
-        raise ServingError(f"release {release_id!r} is missing {_MARGINALS_DIR}/")
+        raise ServingError(f"release {release_id!r} is missing {_LEGACY_VECTORS_DIR}/")
     marginals: List[np.ndarray] = []
     bytes_mapped = 0
     for key, mask in zip(_marginal_keys(len(masks)), masks):
@@ -396,82 +449,81 @@ class ReleaseStore:
         """Persist a release; returns its id.
 
         Ids default to ``release-NNNN`` with an increasing sequence number.
-        Storing under an existing id requires ``overwrite=True``.  Releases
-        whose marginal vectors average at least :data:`V2_MIN_VECTOR_BYTES`
-        are written in the v2 layout, smaller ones in v1.
+        Storing under an existing id requires ``overwrite=True``.  Every
+        release is written in the v3 layout (one ``marginals.npy``).
 
         The release directory is built under a hidden staging name and
         published with one atomic rename: readers (and the index scan) see
         the store fully old or fully new, never a torn release.
         """
-        # Pick up releases written by other store instances since we last
-        # looked, so sequence numbers stay unique and the rewritten index
-        # does not drop them.  (Simultaneous writers are not coordinated —
-        # the staleness check in _load_index heals the index on next open.)
-        self._load_index()
-        sequence = 1 + max(
-            (int(entry["sequence"]) for entry in self._index.values()), default=0  # type: ignore[arg-type]
-        )
-        if release_id is None:
-            release_id = f"release-{sequence:04d}"
-        if not _RELEASE_ID_PATTERN.match(release_id):
-            raise ServingError(
-                f"release id {release_id!r} must match {_RELEASE_ID_PATTERN.pattern}"
+        with _obs.trace_span("store.put", layout=_LAYOUT) as span:
+            # Pick up releases written by other store instances since we last
+            # looked, so sequence numbers stay unique and the rewritten index
+            # does not drop them.  (Simultaneous writers are not coordinated —
+            # the staleness check in _load_index heals the index on next open.)
+            self._load_index()
+            sequence = 1 + max(
+                (int(entry["sequence"]) for entry in self._index.values()), default=0  # type: ignore[arg-type]
             )
-        if release_id in self._index and not overwrite:
-            raise ServingError(
-                f"release {release_id!r} already exists in {self._root}; "
-                "enable overwrite to replace it"
-            )
-        directory = self._release_dir(release_id)
-        arrays = [np.asarray(marginal, dtype=np.float64) for marginal in release.marginals]
-        layout = _layout_for(arrays)
-        meta = release.to_dict(include_marginals=False)
-        # v1-layout releases keep format version 1 so pre-v2 builds of this
-        # library can still read them; only the new layout requires 2.
-        meta["store_format_version"] = 1 if layout == "v1" else STORE_FORMAT_VERSION
-        meta["marginals_layout"] = layout
-        meta["created_at"] = time.time()
-        meta["sequence"] = sequence
-        staging = staging_path(directory)
-        staging.mkdir(parents=True, exist_ok=False)
-        try:
-            # Per-marginal content digests ride along in the metadata so
-            # readers (QueryPlanner, ReleaseStore.verify) can detect silent
-            # corruption of a stored vector and quarantine just that cuboid.
-            meta["marginal_digests"] = self._write_marginals(staging, layout, arrays)
-            # The marginals go first and meta.json lands last: a failure
-            # injected between the two leaves only the staging directory,
-            # which readers never look at — and the final rename below
-            # publishes the whole release or nothing.
-            (staging / _META_FILE).write_text(_json_text(meta))
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-        replace_directory(staging, directory, overwrite=True)
-        if _obs.ENABLED:
-            _obs.counter_inc("serving.store.puts")
-        self._index[release_id] = self._summary(meta, release_id)
-        self._write_index()
-        self._generation += 1
-        self._covering.pop(release_id, None)
+            if release_id is None:
+                release_id = f"release-{sequence:04d}"
+            span.set(release=release_id)
+            if not _RELEASE_ID_PATTERN.match(release_id):
+                raise ServingError(
+                    f"release id {release_id!r} must match {_RELEASE_ID_PATTERN.pattern}"
+                )
+            if release_id in self._index and not overwrite:
+                raise ServingError(
+                    f"release {release_id!r} already exists in {self._root}; "
+                    "enable overwrite to replace it"
+                )
+            directory = self._release_dir(release_id)
+            arrays = [np.asarray(marginal, dtype=np.float64) for marginal in release.marginals]
+            meta = release.to_dict(include_marginals=False)
+            meta["store_format_version"] = STORE_FORMAT_VERSION
+            meta["marginals_layout"] = _LAYOUT
+            meta["created_at"] = time.time()
+            meta["sequence"] = sequence
+            staging = staging_path(directory)
+            staging.mkdir(parents=True, exist_ok=False)
+            try:
+                # Per-marginal content digests ride along in the metadata so
+                # readers (QueryPlanner, ReleaseStore.verify) can detect silent
+                # corruption of a stored vector and quarantine just that cuboid.
+                meta["marginal_digests"] = self._write_marginals(staging, arrays)
+                # The marginals go first and meta.json lands last: a failure
+                # injected between the two leaves only the staging directory,
+                # which readers never look at — and the final rename below
+                # publishes the whole release or nothing.
+                (staging / _META_FILE).write_text(_json_text(meta))
+            except BaseException:
+                shutil.rmtree(staging, ignore_errors=True)
+                raise
+            replace_directory(staging, directory, overwrite=True)
+            if _obs.ENABLED:
+                _obs.counter_inc("serving.store.puts")
+            self._index[release_id] = self._summary(meta, release_id)
+            self._write_index()
+            self._generation += 1
+            self._covering.pop(release_id, None)
         return release_id
 
     @staticmethod
-    def _write_marginals(directory: Path, layout: str, arrays: List[np.ndarray]) -> List[str]:
-        """Write the float64 marginal vectors under ``directory`` in ``layout``.
+    def _write_marginals(directory: Path, arrays: List[np.ndarray]) -> List[str]:
+        """Write ``marginals.npy``: a fixed header, then each vector's bytes.
 
-        Returns the per-marginal sha256 content digests, in workload order.
+        The vectors are streamed in workload order, never concatenated in
+        memory, and each is hashed once.  Returns the per-marginal sha256
+        content digests, in workload order.
         """
-        keys = _marginal_keys(len(arrays))
-        digests = [sha256_of_array(array) for array in arrays]
-        if layout == "v1":
-            np.savez_compressed(directory / _MARGINALS_FILE, **dict(zip(keys, arrays)))
-            return digests
-        vectors = directory / _MARGINALS_DIR
-        vectors.mkdir()
-        for key, array in zip(keys, arrays):
-            np.save(vectors / f"{key}.npy", array)
+        digests = []
+        total = sum(array.size for array in arrays)
+        with open(directory / _MARGINALS_FILE, "wb") as handle:
+            handle.write(_npy_header(_FLOAT64.str, total))
+            for array in arrays:
+                contiguous = np.ascontiguousarray(array)
+                digests.append(sha256_of_array(contiguous))
+                handle.write(contiguous)
         return digests
 
     def _read_meta(self, release_id: str) -> Dict[str, object]:
@@ -597,11 +649,11 @@ class ReleaseStore:
         if release_id not in self._index:
             raise ServingError(f"no release {release_id!r} in store {self._root}")
         directory = self._release_dir(release_id)
-        for name in (_META_FILE, _MARGINALS_FILE):
+        for name in (_META_FILE, _MARGINALS_FILE, _LEGACY_ARCHIVE):
             path = directory / name
             if path.exists():
                 path.unlink()
-        vectors = directory / _MARGINALS_DIR
+        vectors = directory / _LEGACY_VECTORS_DIR
         if vectors.is_dir():
             for path in vectors.glob("marginal_*.npy"):
                 path.unlink()
@@ -624,5 +676,4 @@ __all__ = [
     "ReleaseStore",
     "STORE_FORMAT_VERSION",
     "RELEASE_FORMAT_VERSION",
-    "V2_MIN_VECTOR_BYTES",
 ]

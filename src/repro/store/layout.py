@@ -16,7 +16,7 @@ This module holds the pieces the higher layers share:
   (``madvise(MADV_DONTNEED)``) after a streaming kernel has consumed them,
   so out-of-core scans keep RSS bounded by the working set, not the file.
 * :func:`replace_directory` — the atomic publish step shared by the encoded
-  source writer and the v2 release store: build into a staging directory,
+  source writer and the release store: build into a staging directory,
   then a single ``os.replace`` makes it visible (fully old or fully new).
 """
 
@@ -153,8 +153,7 @@ def sha256_of_array(values: np.ndarray) -> str:
     Matches :class:`NpyStreamWriter`'s running digest for the same values,
     so in-memory arrays can be checked against on-disk shards.
     """
-    contiguous = np.ascontiguousarray(values)
-    return hashlib.sha256(contiguous.tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(values)).hexdigest()
 
 
 def release_pages(array: np.ndarray) -> bool:

@@ -86,26 +86,6 @@ def paper_example_workload(binary_schema_3) -> MarginalWorkload:
 
 
 # --------------------------------------------------------------------------- #
-# release-store layout
-# --------------------------------------------------------------------------- #
-@pytest.fixture
-def store_layout(monkeypatch):
-    """Force the layout ``ReleaseStore.put`` writes: ``store_layout("v1" | "v2")``.
-
-    ``put`` picks the layout from the mean vector size; the test releases are
-    tiny, so pinning the size threshold to 0 (always v2) or to infinity
-    (always v1) is how a test exercises either reader.
-    """
-    from repro.serving import store as store_module
-
-    def force(layout: str) -> None:
-        threshold = {"v1": float("inf"), "v2": 0}[layout]
-        monkeypatch.setattr(store_module, "V2_MIN_VECTOR_BYTES", threshold)
-
-    return force
-
-
-# --------------------------------------------------------------------------- #
 # helpers (imported by tests as plain functions)
 # --------------------------------------------------------------------------- #
 def brute_force_marginal(x: np.ndarray, mask: int, d: int) -> np.ndarray:

@@ -12,11 +12,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.serving.store import ReleaseStore
+from tests.store_files import corrupt_marginal, truncate
 
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -34,17 +34,12 @@ class TestServeValidation:
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
 
-    def test_verify_start_refuses_a_corrupt_store(
-        self, tmp_path, release, capsys, store_layout
-    ):
+    def test_verify_start_refuses_a_corrupt_store(self, tmp_path, release, capsys):
         # Tamper with a stored vector: --verify-start must refuse to serve.
         root = tmp_path / "cstore"
-        store_layout("v2")
         store = ReleaseStore(root)
         rid = store.put(release)
-        target = next((root / rid / "marginals").glob("*.npy"))
-        data = np.load(target) + 1.0
-        np.save(target, data)
+        corrupt_marginal(root, rid, 0, release)
         code = main(["serve", "--store", str(root), "--verify-start"])
         assert code == 1
         assert "refusing to serve" in capsys.readouterr().err
@@ -135,14 +130,7 @@ class TestStatsExitCodes:
     def test_corrupt_vector_is_exit_1(self, store_dir, capsys):
         store = ReleaseStore(store_dir, create=False)
         rid = store.release_ids()[0]
-        npz = store_dir / rid / "marginals.npz"
-        if npz.exists():
-            with open(npz, "r+b") as handle:
-                handle.truncate(60)
-        else:
-            target = next((store_dir / rid / "marginals").glob("*.npy"))
-            with open(target, "r+b") as handle:
-                handle.truncate(40)
+        truncate(store_dir / rid / "marginals.npy", 40)
         code = main(["stats", "--store", str(store_dir)])
         assert code == 1
         assert "CORRUPT" in capsys.readouterr().out

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -21,6 +20,7 @@ from repro.net.protocol import answer_payload, encode_canonical
 from repro.net.server import BackgroundServer, ServerConfig
 from repro.serving.service import QueryRequest, QueryService
 from repro.serving.store import ReleaseStore
+from tests.store_files import corrupt_marginal
 
 SETTINGS = settings(
     max_examples=20,
@@ -110,23 +110,14 @@ class TestEquivalence:
 
 class TestDegradedEquivalence:
     @pytest.fixture
-    def corrupt_store_dir(self, tmp_path, release, store_layout) -> Path:
-        """A v2 store whose 'a'-serving cuboid was corrupted in place."""
+    def corrupt_store_dir(self, tmp_path, release) -> Path:
+        """A store whose 'a'-serving cuboid was corrupted in place."""
         root = tmp_path / "cstore"
-        store_layout("v2")
         store = ReleaseStore(root)
         rid = store.put(release)
         probe = QueryService(ReleaseStore(root, create=False))
         answer = probe.query(["a"])
-        target = (
-            Path(root) / rid / "marginals"
-            / f"marginal_{answer.plan.source_position:05d}.npy"
-        )
-        bad = np.asarray(
-            release.marginals[answer.plan.source_position], dtype=np.float64
-        ).copy()
-        bad[0] += 1.0
-        np.save(target, bad)
+        corrupt_marginal(root, rid, answer.plan.source_position, release)
         return root
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

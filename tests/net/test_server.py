@@ -6,9 +6,7 @@ import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.net.protocol import answer_payload, encode_canonical
@@ -16,6 +14,7 @@ from repro.net.server import BackgroundServer, QueryServer, ServerConfig
 from repro.obs import tracing
 from repro.serving.service import QueryService
 from repro.serving.store import ReleaseStore
+from tests.store_files import corrupt_marginal
 
 
 @pytest.fixture
@@ -268,9 +267,8 @@ class TestDrain:
 
 class TestBreaker:
     @pytest.fixture
-    def corrupt_store(self, tmp_path, release, store_layout) -> ReleaseStore:
-        """A v2 store whose first 2-way cuboid's vector was tampered with."""
-        store_layout("v2")
+    def corrupt_store(self, tmp_path, release) -> ReleaseStore:
+        """A store whose first 2-way cuboid's vector was tampered with."""
         store = ReleaseStore(tmp_path / "cstore")
         rid = store.put(release)
         clean = QueryService(ReleaseStore(tmp_path / "cstore", create=False))
@@ -278,17 +276,7 @@ class TestBreaker:
         # quarantine, other 2-way cuboids containing 'a' still cover it, so
         # the query degrades instead of failing.
         answer = clean.query(["a"])
-        target = (
-            Path(store.root)
-            / rid
-            / "marginals"
-            / f"marginal_{answer.plan.source_position:05d}.npy"
-        )
-        bad = np.asarray(
-            release.marginals[answer.plan.source_position], dtype=np.float64
-        ).copy()
-        bad[0] += 1.0
-        np.save(target, bad)
+        corrupt_marginal(store.root, rid, answer.plan.source_position, release)
         return ReleaseStore(tmp_path / "cstore", create=False)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -27,6 +27,7 @@ from repro.queries import MarginalQuery, MarginalWorkload, all_k_way
 from repro.resilience import FaultPlan, FaultSpec, fault_injection
 from repro.serving.service import QueryRequest, QueryService
 from repro.serving.store import ReleaseStore
+from tests.store_files import corrupt_marginal
 
 SETTINGS = settings(
     max_examples=20,
@@ -129,24 +130,18 @@ class TestGroupedEqualsSerial:
 
 class TestDegradedBatch:
     @pytest.fixture
-    def v2_store(self, tmp_path, release, store_layout) -> ReleaseStore:
-        store_layout("v2")
+    def r1_store(self, tmp_path, release) -> ReleaseStore:
         store = ReleaseStore(tmp_path / "store")
         store.put(release, release_id="r1")
         return store
 
     def test_grouped_equals_serial_with_a_quarantined_cuboid(
-        self, tmp_path, v2_store, release
+        self, tmp_path, r1_store, release
     ):
         # Corrupt the cuboid that serves ["a"]: both paths must quarantine it
         # and fall back to the same wider source, byte for byte.
-        position = QueryService(v2_store).query(["a"]).plan.source_position
-        target = (
-            v2_store.root / "r1" / "marginals" / f"marginal_{position:05d}.npy"
-        )
-        bad = np.asarray(release.marginals[position], dtype=np.float64).copy()
-        bad[0] += 1.0
-        np.save(target, bad)
+        position = QueryService(r1_store).query(["a"]).plan.source_position
+        corrupt_marginal(r1_store.root, "r1", position, release)
 
         # No request's union may be {a, b}: the corrupt cuboid is its only
         # cover (the workload is all 2-ways), so that query rightly fails.
@@ -161,10 +156,10 @@ class TestDegradedBatch:
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            reference = SerialReference(ReleaseStore(v2_store.root, create=False))
+            reference = SerialReference(ReleaseStore(r1_store.root, create=False))
             serial = reference.answers(requests)
             grouped_service = QueryService(
-                ReleaseStore(v2_store.root, create=False),
+                ReleaseStore(r1_store.root, create=False),
                 cache_size=0,
                 batch_workers=2,
             )
@@ -178,9 +173,7 @@ class TestDegradedBatch:
 
 
 class TestFaultedBuildBatch:
-    def test_batch_paths_agree_on_a_release_built_under_retryable_faults(
-        self, tmp_path, store_layout
-    ):
+    def test_batch_paths_agree_on_a_release_built_under_retryable_faults(self, tmp_path):
         dataset = synthetic_nltcs(300, rng=9)
         workload = all_k_way(dataset.schema, 2)
 
@@ -194,7 +187,6 @@ class TestFaultedBuildBatch:
             faulted = build()
         assert injector.injected("shards.task") == 2
 
-        store_layout("v2")
         store = ReleaseStore(tmp_path / "store")
         store.put(faulted)
         names = list(dataset.schema.names)
@@ -237,7 +229,7 @@ class TestWideStorePin:
         ]
         return requests
 
-    def test_seeded_d32_round_trip_is_pinned(self, tmp_path, store_layout):
+    def test_seeded_d32_round_trip_is_pinned(self, tmp_path):
         schema = Schema.binary([f"a{i:02d}" for i in range(32)])
         rng = np.random.default_rng(2013)
         records = (rng.random((1500, 32)) < 0.35).astype(np.int64)
@@ -251,7 +243,6 @@ class TestWideStorePin:
         release = release_marginals(
             dataset, workload, budget=1.0, strategy="F", rng=5
         )
-        store_layout("v2")
         store = ReleaseStore(tmp_path / "store")
         rid = store.put(release, release_id="wide")
         assert rid == "wide"

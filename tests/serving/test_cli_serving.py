@@ -59,7 +59,7 @@ class TestReleaseSubcommand:
         assert rc == 0
         assert "stored release 'release-0001'" in out
         assert (store / "release-0001" / "meta.json").exists()
-        assert (store / "release-0001" / "marginals.npz").exists()
+        assert (store / "release-0001" / "marginals.npy").exists()
 
     def test_release_id_and_overwrite(self, survey_csv, tmp_path, capsys):
         store = tmp_path / "store"

@@ -17,13 +17,13 @@ import threading
 import warnings
 from typing import List
 
-import numpy as np
 import pytest
 from serial_reference import SerialReference
 
 import repro.serving.planner as planner_module
 from repro.serving.service import QueryService
 from repro.serving.store import ReleaseStore
+from tests.store_files import corrupt_marginal
 
 THREADS = 8
 ROUNDS = 30
@@ -166,18 +166,15 @@ class TestConcurrentQueryBatch:
 
 class TestQuarantineUnderTraffic:
     @pytest.fixture
-    def corrupt_store(self, tmp_path, release, store_layout) -> ReleaseStore:
-        """A v2 store whose sources of ``a`` and ``d`` are corrupted in place."""
+    def corrupt_store(self, tmp_path, release) -> ReleaseStore:
+        """A store whose sources of ``a`` and ``d`` are corrupted in place."""
         root = tmp_path / "cstore"
-        store_layout("v2")
         store = ReleaseStore(root)
         rid = store.put(release)
         probe = QueryService(ReleaseStore(root, create=False))
         positions = {probe.query([name]).plan.source_position for name in ("a", "d")}
         for position in positions:
-            bad = np.asarray(release.marginals[position], dtype=np.float64).copy()
-            bad[0] += 1.0
-            np.save(root / rid / "marginals" / f"marginal_{position:05d}.npy", bad)
+            corrupt_marginal(root, rid, position, release)
         return ReleaseStore(root, create=False)
 
     def test_eight_threads_quarantine_while_health_is_polled(self, corrupt_store):

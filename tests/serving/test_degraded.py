@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,25 +21,17 @@ from repro.exceptions import CorruptMarginalError, ServingError
 from repro.net.protocol import answer_payload, encode_canonical
 from repro.serving.service import QueryService
 from repro.serving.store import ReleaseStore
+from tests.store_files import (
+    corrupt_marginal,
+    marginal_offset,
+    truncate,
+    write_legacy_release,
+)
 
 
 @pytest.fixture
-def store(tmp_path, release, store_layout) -> ReleaseStore:
-    store_layout("v2")
+def store(tmp_path) -> ReleaseStore:
     return ReleaseStore(tmp_path / "store")
-
-
-def _corrupt_in_place(root: Path, release_id: str, position: int, release) -> None:
-    """Overwrite one stored vector with same-shape different bytes."""
-    target = root / release_id / "marginals" / f"marginal_{position:05d}.npy"
-    bad = np.asarray(release.marginals[position], dtype=np.float64).copy()
-    bad[0] += 1.0
-    np.save(target, bad)
-
-
-def _truncate(path: Path, size: int = 40) -> None:
-    with open(path, "r+b") as handle:
-        handle.truncate(size)
 
 
 class TestDigestPinning:
@@ -60,7 +51,7 @@ class TestDigestPinning:
 
     def test_verify_flags_in_place_corruption(self, store, release):
         rid = store.put(release)
-        _corrupt_in_place(store.root, rid, 0, release)
+        corrupt_marginal(store.root, rid, 0, release)
         report = store.verify(rid)
         assert not report["ok"]
         (problem,) = report["corrupt"]
@@ -70,7 +61,7 @@ class TestDigestPinning:
     def test_verify_all_rolls_up_every_release(self, store, release):
         good = store.put(release)
         bad = store.put(release)
-        _corrupt_in_place(store.root, bad, 1, release)
+        corrupt_marginal(store.root, bad, 1, release)
         report = store.verify_all()
         assert not report["ok"]
         by_id = {entry["release_id"]: entry for entry in report["reports"]}
@@ -85,7 +76,7 @@ class TestQuarantine:
         rid = store.put(release)
         clean = QueryService(store).query(["a"])
         assert not clean.degraded
-        _corrupt_in_place(store.root, rid, clean.plan.source_position, release)
+        corrupt_marginal(store.root, rid, clean.plan.source_position, release)
 
         service = QueryService(store)
         with warnings.catch_warnings(record=True) as caught:
@@ -102,7 +93,7 @@ class TestQuarantine:
     def test_health_reflects_the_quarantine(self, store, release):
         rid = store.put(release)
         clean = QueryService(store).query(["a"])
-        _corrupt_in_place(store.root, rid, clean.plan.source_position, release)
+        corrupt_marginal(store.root, rid, clean.plan.source_position, release)
         service = QueryService(store)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -117,7 +108,7 @@ class TestQuarantine:
         rid = store.put(release)
         clean = QueryService(store).query(["a"])
         corrupt_mask = clean.plan.source_mask
-        _corrupt_in_place(store.root, rid, clean.plan.source_position, release)
+        corrupt_marginal(store.root, rid, clean.plan.source_position, release)
         service = QueryService(store)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -128,7 +119,7 @@ class TestQuarantine:
         rid = store.put(release)
         clean = QueryService(store).query(["a", "b"])
         # ("a","b") is a maximal 2-way cuboid: nothing else covers it.
-        _corrupt_in_place(store.root, rid, clean.plan.source_position, release)
+        corrupt_marginal(store.root, rid, clean.plan.source_position, release)
         service = QueryService(store)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -149,7 +140,7 @@ class TestQuarantine:
             for position, query in enumerate(release.workload.queries)
             if query.mask & 1 and position != clean.plan.source_position
         )
-        _corrupt_in_place(store.root, rid, other, release)
+        corrupt_marginal(store.root, rid, other, release)
         corrupt_pair = list(
             release.workload.schema.attributes_of_mask(release.workload.queries[other].mask)
         )
@@ -172,7 +163,7 @@ class TestQuarantine:
     def test_invalidate_clears_the_quarantine(self, store, release):
         rid = store.put(release)
         clean = QueryService(store).query(["a"])
-        _corrupt_in_place(store.root, rid, clean.plan.source_position, release)
+        corrupt_marginal(store.root, rid, clean.plan.source_position, release)
         service = QueryService(store)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -181,24 +172,67 @@ class TestQuarantine:
         service.invalidate(rid)
         assert service.health()["ok"]
 
+    def test_flipped_byte_quarantines_exactly_that_cuboid(self, store, release):
+        rid = store.put(release)
+        queries = release.workload.queries
+        schema = release.workload.schema
+        position = 3
+        corrupt_marginal(store.root, rid, position, release)
+        service = QueryService(store)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for index, query in enumerate(queries):
+                names = list(schema.attributes_of_mask(query.mask))
+                if index == position:
+                    with pytest.raises(ServingError, match="quarantined"):
+                        service.query(names)
+                else:
+                    answer = service.query(names)
+                    assert answer.plan.source_position == index
+                    np.testing.assert_array_equal(answer.values, release.marginals[index])
+        assert service.health()["quarantined"] == {rid: [hex(queries[position].mask)]}
+        (problem,) = store.verify(rid)["corrupt"]
+        assert problem["position"] == position
+
 
 class TestTruncation:
-    def test_truncated_v2_vector_is_a_targeted_error(self, store, release):
+    @pytest.mark.parametrize("position", [0, 1, 5])
+    def test_truncated_v3_file_names_the_first_cuboid_past_the_end(
+        self, store, release, position
+    ):
         rid = store.put(release)
+        # Keep every vector before ``position`` whole and half of its first cell.
+        truncate(store.root / rid / "marginals.npy", marginal_offset(release, position) + 4)
+        with pytest.raises(CorruptMarginalError, match="truncated or corrupt") as info:
+            store.get(rid)
+        assert info.value.mask == release.workload.queries[position].mask
+        assert info.value.release_id == rid
+        report = store.verify(rid)
+        assert not report["ok"]
+        assert report["corrupt"][0]["mask"] == info.value.mask
+
+    def test_truncated_v3_header_names_the_first_cuboid(self, store, release):
+        rid = store.put(release)
+        truncate(store.root / rid / "marginals.npy", 40)
+        with pytest.raises(CorruptMarginalError) as info:
+            store.get(rid)
+        assert info.value.mask == release.workload.queries[0].mask
+
+    def test_truncated_v2_vector_is_a_targeted_error(self, store, release):
+        rid = write_legacy_release(store, release, "v2")
         target = store.root / rid / "marginals" / "marginal_00001.npy"
-        _truncate(target)
+        truncate(target, 40)
         with pytest.raises(CorruptMarginalError, match="truncated or corrupt") as info:
             store.get(rid)
         assert info.value.mask is not None
         assert info.value.release_id == rid
 
-    def test_truncated_v1_archive_is_a_targeted_error(self, tmp_path, release, store_layout):
-        store_layout("v1")
+    def test_truncated_v1_archive_is_a_targeted_error(self, tmp_path, release):
         store = ReleaseStore(tmp_path / "v1store")
-        rid = store.put(release)
+        rid = write_legacy_release(store, release, "v1")
         assert store.marginal_digests(rid) is not None
         assert store.verify(rid)["ok"]
-        _truncate(store.root / rid / "marginals.npz", size=60)
+        truncate(store.root / rid / "marginals.npz", size=60)
         with pytest.raises(CorruptMarginalError):
             store.get(rid)
         assert not store.verify(rid)["ok"]
@@ -210,7 +244,7 @@ class TestSidelining:
     ):
         older = store.put(release)
         newest = store.put(release)
-        _truncate(store.root / newest / "marginals" / "marginal_00001.npy")
+        truncate(store.root / newest / "marginals.npy", 40)
         service = QueryService(store)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -235,7 +269,7 @@ class TestStatsStoreCli:
         self, store, release, capsys
     ):
         rid = store.put(release)
-        _corrupt_in_place(store.root, rid, 0, release)
+        corrupt_marginal(store.root, rid, 0, release)
         rc = main(["stats", "--store", str(store.root)])
         out = capsys.readouterr().out
         assert rc == 1

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.engine import release_marginals
 from repro.exceptions import ServingError
+from repro.obs import tracing
 from repro.queries import all_k_way
 from repro.serving.store import ReleaseStore
 
@@ -71,6 +72,17 @@ class TestPutGet:
     def test_missing_root_without_create(self, tmp_path):
         with pytest.raises(ServingError):
             ReleaseStore(tmp_path / "absent", create=False)
+
+
+    def test_put_and_get_are_traced(self, tmp_path, release):
+        store = ReleaseStore(tmp_path / "store")
+        with tracing() as recorder:
+            release_id = store.put(release)
+            store.get(release_id)
+        spans = {record.name: record.attrs for record in recorder.spans}
+        assert spans["store.put"] == {"release": release_id, "layout": "v3"}
+        assert spans["store.open"] == {"release": release_id, "layout": "v3"}
+        assert recorder.metrics.snapshot()["counters"]["serving.store.puts"] == 1
 
 
 class TestIndex:
@@ -173,6 +185,6 @@ class TestVersioning:
         root = tmp_path / "store"
         store = ReleaseStore(root)
         release_id = store.put(release)
-        (root / release_id / "marginals.npz").unlink()
+        (root / release_id / "marginals.npy").unlink()
         with pytest.raises(ServingError):
             ReleaseStore(root).get(release_id)

@@ -10,6 +10,7 @@ from repro.data import synthetic_nltcs
 from repro.queries import all_k_way
 from repro.serving.store import ReleaseStore
 from repro.store import EncodedSourceWriter, open_source, write_source
+from tests.store_files import write_legacy_release
 
 
 @pytest.fixture(scope="module")
@@ -27,21 +28,26 @@ class Boom(RuntimeError):
     pass
 
 
+def _put_in(store, release, layout, release_id):
+    if layout == "v3":
+        return store.put(release, release_id=release_id)
+    return write_legacy_release(store, release, layout, release_id=release_id)
+
+
 class TestReleaseStorePutAtomicity:
-    @pytest.mark.parametrize("layout", ["v1", "v2"])
     def test_failure_between_marginals_and_meta_leaves_store_empty(
-        self, tmp_path, monkeypatch, release, layout, store_layout
+        self, tmp_path, monkeypatch, release
     ):
         """Inject a crash after the marginal write, before meta.json."""
         root = tmp_path / "store"
-        store_layout(layout)
         store = ReleaseStore(root)
         baseline = _snapshot(root)
 
         original = ReleaseStore._write_marginals
 
-        def explode(directory, written_layout, marginals):
-            original(directory, written_layout, marginals)
+        def explode(directory, marginals):
+            original(directory, marginals)
+            assert (directory / "marginals.npy").exists()
             raise Boom("crash between marginals and meta.json")
 
         monkeypatch.setattr(ReleaseStore, "_write_marginals", staticmethod(explode))
@@ -55,17 +61,17 @@ class TestReleaseStorePutAtomicity:
         assert "victim" not in fresh
         assert len(fresh) == 0
 
-    @pytest.mark.parametrize("layout", ["v1", "v2"])
+    @pytest.mark.parametrize("layout", ["v1", "v2", "v3"])
     def test_failed_overwrite_keeps_the_old_release_intact(
-        self, tmp_path, monkeypatch, release, layout, store_layout
+        self, tmp_path, monkeypatch, release, layout
     ):
+        """The release being replaced was written in ``layout``."""
         root = tmp_path / "store"
-        store_layout(layout)
         store = ReleaseStore(root)
-        store.put(release, release_id="r")
+        _put_in(store, release, layout, "r")
         before = _snapshot(root)
 
-        def explode(directory, written_layout, marginals):
+        def explode(directory, marginals):
             raise Boom("crash before anything is written")
 
         monkeypatch.setattr(ReleaseStore, "_write_marginals", staticmethod(explode))
@@ -74,19 +80,25 @@ class TestReleaseStorePutAtomicity:
         monkeypatch.undo()
 
         assert _snapshot(root) == before
-        reloaded = ReleaseStore(root, create=False).get("r")
-        for ours, exact in zip(reloaded.marginals, release.marginals):
+        reopened = ReleaseStore(root, create=False)
+        assert reopened.metadata("r")["layout"] == layout
+        for ours, exact in zip(reopened.get("r").marginals, release.marginals):
             assert np.array_equal(np.asarray(ours), exact)
 
-    @pytest.mark.parametrize("layout", ["v1", "v2"])
-    def test_successful_put_is_fully_new(self, tmp_path, release, layout, store_layout):
+    @pytest.mark.parametrize("layout", ["v1", "v2", "v3"])
+    def test_successful_put_is_fully_new(self, tmp_path, release, layout):
+        """Overwriting a release written in ``layout`` publishes a whole v3 one."""
         root = tmp_path / "store"
-        store_layout(layout)
         store = ReleaseStore(root)
-        release_id = store.put(release)
+        _put_in(store, release, layout, "r")
+        release_id = store.put(release, release_id="r", overwrite=True)
         # No staging debris survives a successful publish either.
         assert not list(root.glob(".stage-*"))
         assert not list(root.glob(".old-*"))
+        assert sorted(path.name for path in (root / release_id).iterdir()) == [
+            "marginals.npy",
+            "meta.json",
+        ]
         assert release_id in ReleaseStore(root, create=False)
 
 

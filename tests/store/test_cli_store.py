@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.cli import build_release_parser, main
+from repro.serving.store import ReleaseStore
+from tests.store_files import write_legacy_release
 
 
 @pytest.fixture
@@ -45,7 +47,7 @@ class TestParser:
         assert args.out is None
 
     def test_store_format_flag_is_gone(self):
-        # The store picks the layout from the vector size; there is no knob.
+        # Every release is written in one layout; there is no knob.
         with pytest.raises(SystemExit):
             build_release_parser().parse_args(["--input", "x.csv", "--store-format", "v1"])
 
@@ -76,7 +78,7 @@ class TestStreamedRelease:
             == 0
         )
         out = capsys.readouterr().out
-        assert "v1 layout" in out  # 2-way marginals of a 3-column survey are tiny
+        assert "v3 layout" in out
 
         plain = _query_json(tmp_path / "plain", ["smoker", "region"], capsys)
         streamed = _query_json(tmp_path / "streamed", ["smoker", "region"], capsys)
@@ -134,7 +136,7 @@ class TestStreamedRelease:
 
 
 class TestStoreFormat:
-    def test_wide_marginals_are_stored_v2(self, tmp_path, capsys):
+    def test_wide_marginals_are_stored_v3(self, tmp_path, capsys):
         # Two 64-value attributes: one 2-way marginal of 4096 cells (32 KiB).
         path = tmp_path / "wide.csv"
         with path.open("w", newline="") as handle:
@@ -145,31 +147,26 @@ class TestStoreFormat:
         out = tmp_path / "store"
         argv = ["release", "--input", str(path), "--k", "2", "--seed", "1", "--out", str(out)]
         assert main(argv) == 0
-        assert "(v2 layout)" in capsys.readouterr().out
+        assert "(v3 layout)" in capsys.readouterr().out
         assert main(["stats", "--store", str(out)]) == 0
+        assert "v3 layout)" in capsys.readouterr().out
 
-    def test_v1_and_v2_serve_identically(self, survey_csv, tmp_path, capsys, store_layout):
+    def test_v1_and_v2_serve_identically(self, survey_csv, tmp_path, capsys):
+        """``repro query`` answers a v3 release and its legacy copies alike."""
+        argv = ["release", "--input", str(survey_csv), "--k", "2", "--seed", "9"]
+        assert main(argv + ["--out", str(tmp_path / "v3")]) == 0
+        assert "(v3 layout)" in capsys.readouterr().out
+        source = ReleaseStore(tmp_path / "v3", create=False)
+        release = source.get(source.latest_release_id())
         for layout in ("v1", "v2"):
-            store_layout(layout)
-            exit_code = main(
-                [
-                    "release",
-                    "--input",
-                    str(survey_csv),
-                    "--k",
-                    "2",
-                    "--seed",
-                    "9",
-                    "--out",
-                    str(tmp_path / layout),
-                ]
-            )
-            assert exit_code == 0
-            assert f"({layout} layout)" in capsys.readouterr().out
-        v1 = _query_json(tmp_path / "v1", ["region", "income"], capsys)
-        v2 = _query_json(tmp_path / "v2", ["region", "income"], capsys)
-        assert v1["cells"] == v2["cells"]
-        release_dir = next(
-            p for p in (tmp_path / "v2").iterdir() if p.is_dir()
-        )
+            write_legacy_release(ReleaseStore(tmp_path / layout), release, layout)
+            assert main(["stats", "--store", str(tmp_path / layout)]) == 0
+            assert f"{layout} layout)" in capsys.readouterr().out
+        cells = {
+            layout: _query_json(tmp_path / layout, ["region", "income"], capsys)["cells"]
+            for layout in ("v1", "v2", "v3")
+        }
+        assert cells["v1"] == cells["v3"]
+        assert cells["v2"] == cells["v3"]
+        release_dir = next(p for p in (tmp_path / "v2").iterdir() if p.is_dir())
         assert (release_dir / "marginals").is_dir()

@@ -100,7 +100,7 @@ class TestMain:
             store = tmp_path / name
             argv = prefix + ["--input", str(survey_csv), "--seed", "3", "--out", str(store)]
             assert main(argv) == 0
-            assert "(v1 layout)" in capsys.readouterr().out
+            assert "(v3 layout)" in capsys.readouterr().out
             assert main(["query", "--store", str(store), "--attributes", "region", "--json"]) == 0
             outputs[name] = json.loads(capsys.readouterr().out)["cells"]
         assert outputs["flags"] == outputs["release"]
