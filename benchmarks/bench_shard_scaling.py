@@ -8,10 +8,11 @@ Three claims of the sharding layer (``repro.shards``) are measured:
   trivial batch per 2-way mask); next to it the same sweep with strategy
   ``Q`` at d = 24 (d = 20 under ``--quick``), wide enough that the planner
   measures the 2-way cuboids directly.  Both read the pairs off the record
-  kernel's weighted Gram matrix on every shard.  On a multi-core machine (>= 4 cores) the best
-  sharded ``F`` configuration must be at least 2x faster than the
-  single-shard record backend, and **every** configuration of both sweeps
-  must reproduce the unsharded measurement bitwise;
+  kernel's weighted byte-pair histograms on every shard.  On a multi-core
+  machine (>= 4 cores) the best sharded ``F`` configuration must be at
+  least 2x faster than the single-shard record backend, and **every**
+  configuration of both sweeps must reproduce the unsharded measurement
+  bitwise;
 * **wide domains** — the same sweep at d = 32, where the dense pipeline
   cannot exist at all;
 * **streaming ingestion** — a :class:`~repro.shards.streaming.StreamingSourceBuilder`

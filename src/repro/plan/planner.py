@@ -131,19 +131,21 @@ class Planner:
         fully data-independent and the executor decides at run time.
         """
         allocation = self.allocation(budget)
+        # Every positive group budget converted in one call; the division is
+        # elementwise, so each scale equals the scalar helper's bit for bit.
+        budgets = np.array(allocation.group_budgets, dtype=np.float64)
+        positive = budgets > 0.0
+        scales = np.zeros_like(budgets)
+        if allocation.is_pure:
+            scales[positive] = laplace_scale_for_budget(budgets[positive])
+        else:
+            scales[positive] = gaussian_sigma_for_budget(
+                budgets[positive], allocation.budget.delta
+            )
         groups: List[PlanGroup] = []
-        for position, (spec, eta) in enumerate(
-            zip(allocation.groups, allocation.group_budgets)
+        for position, (spec, eta, scale) in enumerate(
+            zip(allocation.groups, allocation.group_budgets, scales.tolist())
         ):
-            if eta > 0.0:
-                if allocation.is_pure:
-                    scale = float(laplace_scale_for_budget(eta)[0])
-                else:
-                    scale = float(
-                        gaussian_sigma_for_budget(eta, allocation.budget.delta)[0]
-                    )
-            else:
-                scale = None
             groups.append(
                 PlanGroup(
                     label=spec.label,
@@ -152,7 +154,7 @@ class Planner:
                     constant=spec.constant,
                     weight=spec.weight,
                     budget=float(eta),
-                    noise_scale=scale,
+                    noise_scale=scale if eta > 0.0 else None,
                 )
             )
         row_budgets = None

@@ -5,9 +5,9 @@ weights)`` arrays of a :class:`~repro.sources.record.RecordSource` into
 ``S`` shards by a stable hash of the code
 (:func:`~repro.shards.partition.shard_of_codes`), computes each requested
 cuboid marginal **per shard** with exactly the record-native kernel
-(:func:`~repro.sources.record.worklist_marginals`: the weighted Gram matrix
-for members of at most two bits, projected codes + weighted
-``numpy.bincount`` for the rest) on a worker pool, and sums the shard
+(:func:`~repro.sources.record.worklist_marginals`: weighted byte and
+byte-pair histograms for members of at most two bits, projected codes +
+weighted ``numpy.bincount`` for the rest) on a worker pool, and sums the shard
 results in fixed shard order.
 
 Why the result is bitwise identical to the unsharded source, for any shard

@@ -6,10 +6,11 @@ A :class:`RecordSource` holds deduplicated ``(codes, weights)`` arrays —
 marginals ``C^alpha x`` from them, both independent of the ambient ``2**d``:
 
 * **pair kernel** — every marginal of at most two bits in a worklist is read
-  off one weighted Gram matrix ``G = P^T diag(w) P`` of the 0/1 bit planes
-  ``P`` of the codes, built in fixed-size row chunks (:func:`pair_marginals`):
-  one ``O(n b**2)`` product over the ``b`` bits the members touch, instead of
-  one pass over the ``n`` distinct records per cuboid;
+  off ``G = P^T diag(w) P`` over the 0/1 bit planes ``P`` of the codes,
+  which weighted ``numpy.bincount`` histograms of each touched byte and each
+  pair of touched bytes give exactly, in fixed-size row chunks
+  (:func:`pair_marginals`): one pass over the ``n`` distinct records per
+  byte and per byte pair, instead of one per cuboid;
 * **projected bincount** — every wider member is a weighted
   ``numpy.bincount`` of the codes projected onto the bits of ``alpha`` (the
   production idiom of workload-marginal libraries), costing ``O(k n + 2**k)``
@@ -26,6 +27,7 @@ take the projected bincount.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import combinations
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -70,29 +72,28 @@ DEFAULT_MARGINAL_CACHE_CELLS = 1 << 21
 #: int64 plane cells (64 MiB) held at once per kernel invocation.
 PLANE_CELL_BUDGET = 1 << 23
 
-#: Widest member the pair kernel reads off the Gram matrix.
+#: Widest member the pair kernel serves.
 PAIR_MAX_BITS = 2
 
-#: Rows of bit planes the pair kernel holds at once: its transient memory is
-#: a few ``PAIR_CHUNK_ROWS x bits`` float64 matrices (2 MiB each at 32 bits),
-#: whatever the record count.
-PAIR_CHUNK_ROWS = 8192
-
-#: Multiply-adds per matrix product of the pair kernel.  Each chunk's Gram
-#: is one stacked product of row blocks this small, which BLAS runs on the
-#: calling thread: the record backends already run one kernel per core (the
-#: shard pool), and BLAS threads nested under it made the kernel bimodal.
-PAIR_BLOCK_MACS = 1 << 18
+#: Rows the pair kernel reads at once: per chunk it holds one compact byte
+#: array per touched byte, one compound code array and one byte-pair
+#: histogram (under 4 MiB at 62 bits), whatever the record count.
+PAIR_CHUNK_ROWS = 1 << 16
 
 #: Narrow members a worklist needs per bit they touch before the pair kernel
-#: serves them.  The Gram costs about 1.3 bincount passes per touched bit
-#: (unpacking, selecting and weighting the planes are linear in the bits), so
-#: fewer members are cheaper as separate bincounts — e.g. a lone 2-bit
-#: ``marginal()`` call, which took 3x as long through the Gram.
+#: serves them.  At 41k-100k rows the kernel costs 0.1-0.5 bincount passes
+#: per touched bit when the bits fill whole bytes and up to 3 when each bit
+#: has a byte of its own (a pass per byte and per byte pair); on a few
+#: thousand rows its ``2**16``-cell pair histograms cost more.  Fewer members
+#: are cheaper as separate bincounts: a lone 2-bit ``marginal()`` call over
+#: 41k rows takes 0.26 ms by bincount and 0.4-0.85 ms through the kernel.
 PAIR_MIN_MEMBERS_PER_BIT = 2
 
 #: Integers of magnitude below ``2**53`` are exact in float64.
 EXACT_INTEGER_LIMIT = float(1 << 53)
+
+#: Row ``v`` holds the bits of the byte value ``v``, lowest first.
+_BIT_TABLE = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.float64)
 
 
 class MarginalMemo:
@@ -217,9 +218,9 @@ def pair_kernel_is_exact(weights: np.ndarray) -> bool:
     """Whether the pair kernel reproduces the weighted bincount bit for bit.
 
     True when every weight is an integer and ``sum(|w|) < 2**53``: every
-    product, partial sum and difference the Gram route forms is then an
-    integer of magnitude at most ``sum(|w|)``, which float64 represents
-    exactly in any summation order and under any BLAS threading.  The
+    histogram cell, partial sum, product and difference the pair kernel
+    forms is then an integer of magnitude at most ``sum(|w|)``, which
+    float64 represents exactly in any summation order.  The
     magnitude is summed chunk by chunk; its partial sums only grow and
     rounding is monotone, so the float total is below ``2**53`` exactly when
     the true total is.  NaN and infinite weights fail the test.
@@ -233,71 +234,143 @@ def pair_kernel_is_exact(weights: np.ndarray) -> bool:
     return magnitude < EXACT_INTEGER_LIMIT
 
 
+def _cross_block(joint: np.ndarray, low_bits: int, high_bits: int) -> np.ndarray:
+    """``B_high^T H B_low`` for the joint histogram ``H`` of one byte pair.
+
+    ``joint`` has ``2**high_bits`` rows (the higher byte's compact value)
+    and ``2**low_bits`` columns, and ``B_t`` is the ``2**t x t`` bit table;
+    entry ``[j, i]`` of the result sums the cells whose high value has bit
+    ``j`` and low value bit ``i``.  The rows are contracted half their bits
+    at a time (a sum over the other half, then a bit table of at most 16
+    rows), so no product has more than ``2**4 * 2**8 * 4`` multiply-adds:
+    BLAS runs products this small on the calling thread, so a shard pool
+    task never fans out BLAS threads.
+    """
+    half = high_bits // 2
+    cube = joint.reshape(1 << (high_bits - half), 1 << half, joint.shape[1])
+    per_bit = np.concatenate(
+        (
+            _BIT_TABLE[: 1 << half, :half].T @ cube.sum(axis=0),
+            _BIT_TABLE[: cube.shape[0], : high_bits - half].T @ cube.sum(axis=1),
+        )
+    )
+    return per_bit @ _BIT_TABLE[: 1 << low_bits, :low_bits]
+
+
 def pair_marginals(
     codes: np.ndarray, weights: np.ndarray, masks: Iterable[int]
 ) -> Dict[int, np.ndarray]:
-    """Marginals of masks of at most two bits from one weighted Gram matrix.
+    """Marginals of masks of at most two bits from weighted byte histograms.
 
-    ``G = P^T diag(w) P`` over the bit planes ``P`` of the bits the masks
-    touch, accumulated over row chunks of :data:`PAIR_CHUNK_ROWS` (the planes
-    come from ``numpy.unpackbits`` over a little-endian byte view of the
-    codes).  With ``W = sum(w)``, each marginal is, in compact order (the
-    lower bit is index bit 0):
+    Every such marginal is read off ``G = P^T diag(w) P`` over the 0/1 bit
+    planes ``P`` of the bits the masks touch, and ``G`` is read off weighted
+    ``numpy.bincount`` histograms of the code bytes, in row chunks of
+    :data:`PAIR_CHUNK_ROWS`.  Each byte holding touched bits is compressed
+    to those ``t`` bits through a 256-entry lookup.  Its own ``2**t``-cell
+    histogram gives its diagonal block of ``G``; each pair of such bytes
+    gets one histogram of the compound code ``low | high << t_low``
+    (``2**(t_low + t_high)`` cells), reduced to the pair's cross block
+    (:func:`_cross_block`).  The cost is ``bytes + C(bytes, 2)`` bincount
+    passes over the rows — 10 at 32 touched bits, 36 at 62 — plus at most
+    ``2**16`` cells per pair and chunk, instead of ``O(n b**2)``
+    multiply-adds.
+
+    Transient memory does not grow with the row count: one chunk's compact
+    bytes and compound codes and one pair histogram, under 4 MiB at any
+    width; only ``G`` and the per-byte histograms live across chunks.
+
+    With ``W = sum(w)``, each marginal is, in compact order (the lower bit
+    is index bit 0):
 
     * ``{}``: ``[W]``;
     * ``{i}``: ``[W - G_ii, G_ii]``;
     * ``{i < j}``: ``[W - G_ii - G_jj + G_ij, G_ii - G_ij, G_jj - G_ij, G_ij]``.
 
     Bitwise equal to :func:`projected_marginals` only under
-    :func:`pair_kernel_is_exact`; the caller checks.  The accumulators start
-    at ``+0.0``, so no cell is ever ``-0.0`` (the bincount never yields one).
+    :func:`pair_kernel_is_exact`; the caller checks.  No cell is ever
+    ``-0.0``, as no bincount cell is: a float sum is ``-0.0`` only when all
+    its terms are and a difference only when its first term is; every entry
+    of ``G`` sums at least one histogram cell, and every marginal cell leads
+    with ``W`` (``numpy.sum`` starts at ``+0.0``) or an entry of ``G``.
     """
-    mask_bits = {int(mask): bit_indices(int(mask)) for mask in masks}
-    bits = sorted({bit for pair in mask_bits.values() for bit in pair})
-    byte_index = sorted({bit >> 3 for bit in bits})
-    slot = {byte: position for position, byte in enumerate(byte_index)}
-    columns = [slot[bit >> 3] * 8 + (bit & 7) for bit in bits]
-    width = len(bits)
-    block = min(PAIR_CHUNK_ROWS, max(1, PAIR_BLOCK_MACS // max(1, width * width)))
-    gram = np.zeros((width, width))
-    total = 0.0
+    mask_list = [int(mask) for mask in masks]
+    total = float(weights.sum())
+    touched = 0
+    for mask in mask_list:
+        touched |= mask
+    bits = bit_indices(touched)
+    if not bits:
+        return {mask: np.array([total]) for mask in mask_list}
+    groups: Dict[int, List[int]] = {}
+    for bit in bits:
+        groups.setdefault(bit >> 3, []).append(bit & 7)
+    byte_index = sorted(groups)
+    widths = [len(groups[byte]) for byte in byte_index]
+    lookups = [
+        (_BIT_TABLE[:, groups[byte]] @ (1 << np.arange(width))).astype(np.uint16)
+        for byte, width in zip(byte_index, widths)
+    ]
+    offsets = np.cumsum([0] + widths).tolist()
+    spans = [slice(offsets[k], offsets[k + 1]) for k in range(len(byte_index))]
+    pairs = list(combinations(range(len(byte_index)), 2))
+    # Rows and columns of ``gram`` follow ``bits``: bytes ascending, bits
+    # ascending within a byte.  Cross blocks fill only the lower triangle,
+    # which is all the marginals read.
+    gram = np.zeros((len(bits), len(bits)))
+    histograms = [np.zeros(1 << width) for width in widths]
     for start in range(0, codes.shape[0], PAIR_CHUNK_ROWS):
         chunk = np.ascontiguousarray(codes[start : start + PAIR_CHUNK_ROWS], dtype="<i8")
         chunk_weights = weights[start : start + PAIR_CHUNK_ROWS]
-        total += float(chunk_weights.sum())
-        if not bits:
-            continue
-        rows = chunk.shape[0]
-        raw = chunk.view(np.uint8).reshape(rows, 8)[:, byte_index]
-        unpacked = np.unpackbits(raw.reshape(-1), bitorder="little").reshape(rows, -1)
-        # One plane per row of ``planes``; zero columns pad the chunk to
-        # whole blocks and add nothing to G.
-        blocks = -(-rows // block)
-        planes = np.zeros((width, blocks * block))
-        planes[:, :rows] = unpacked[:, columns].T
-        weighted = np.zeros_like(planes)
-        np.multiply(planes[:, :rows], chunk_weights, out=weighted[:, :rows])
-        products = np.matmul(
-            weighted.reshape(width, blocks, block).transpose(1, 0, 2),
-            planes.reshape(width, blocks, block).transpose(1, 2, 0),
-        )
-        gram += products.sum(axis=0)
-    # Python floats are IEEE doubles: the cell arithmetic below is exactly
-    # the float64 arithmetic, without a numpy scalar per operation.
-    position = {bit: index for index, bit in enumerate(bits)}
-    entries = gram.tolist()
+        raw = chunk.view(np.uint8).reshape(-1, 8)
+        compact = [np.take(lookup, raw[:, byte]) for lookup, byte in zip(lookups, byte_index)]
+        for histogram, values in zip(histograms, compact):
+            histogram += np.bincount(values, chunk_weights, histogram.shape[0])
+        for low, high in pairs:
+            compound = compact[low] | (compact[high] << np.uint16(widths[low]))
+            joint = np.bincount(compound, chunk_weights, 1 << (widths[low] + widths[high]))
+            gram[spans[high], spans[low]] += _cross_block(
+                joint.reshape(1 << widths[high], -1), widths[low], widths[high]
+            )
+    for histogram, width, span in zip(histograms, widths, spans):
+        table = _BIT_TABLE[: 1 << width, :width]
+        gram[span, span] = (histogram[:, None] * table).T @ table
+    # Every marginal at once: each mask's lower and higher bit, located in
+    # ``bits`` (a missing bit reads position 0, whose cells go unused); the
+    # pair's entry is read from the lower triangle.
+    mask_array = np.array(mask_list, dtype=np.int64)
+    lower = mask_array & -mask_array
+    higher = mask_array ^ lower
+    bit_values = np.array([1 << bit for bit in bits], dtype=np.int64)
+    first = np.searchsorted(bit_values, lower)
+    second = np.searchsorted(bit_values, higher)
+    low_count, high_count = gram.diagonal()[first], gram.diagonal()[second]
+    both = gram[second, first]
     out: Dict[int, np.ndarray] = {}
-    for mask, pair in mask_bits.items():
-        if not pair:
-            cells = [total]
-        elif len(pair) == 1:
-            one = entries[position[pair[0]]][position[pair[0]]]
-            cells = [total - one, one]
-        else:
-            low, high = position[pair[0]], position[pair[1]]
-            first, second, both = entries[low][low], entries[high][high], entries[low][high]
-            cells = [total - first - second + both, first - both, second - both, both]
-        out[mask] = np.array(cells, dtype=np.float64)
+    if 0 in mask_list:
+        out[0] = np.array([total])
+    singles = (lower != 0) & (higher == 0)
+    out.update(
+        zip(
+            mask_array[singles].tolist(),
+            np.stack((total - low_count[singles], low_count[singles]), axis=1),
+        )
+    )
+    doubles = higher != 0
+    low_count, high_count, both = low_count[doubles], high_count[doubles], both[doubles]
+    out.update(
+        zip(
+            mask_array[doubles].tolist(),
+            np.stack(
+                (
+                    total - low_count - high_count + both,
+                    low_count - both,
+                    high_count - both,
+                    both,
+                ),
+                axis=1,
+            ),
+        )
+    )
     return out
 
 

@@ -4,10 +4,11 @@ A :class:`MappedRecordSource` is a :class:`~repro.shards.sharded.ShardedRecordSo
 whose per-shard ``(codes, weights)`` arrays are ``np.memmap`` views of the
 on-disk encoded-source files (see :mod:`repro.store.encoded`) instead of
 in-memory copies.  The record kernel
-(:func:`~repro.sources.record.worklist_marginals`: weighted Gram matrix for
-members of at most two bits, projected bincount for the rest) is unchanged —
-numpy reads the mapped pages directly (the Gram matrix one row chunk at a
-time), so nothing is copied into Python-owned memory before the scan.
+(:func:`~repro.sources.record.worklist_marginals`: weighted byte-pair
+histograms for members of at most two bits, projected bincount for the rest)
+is unchanged — numpy reads the mapped pages directly (the histograms one row
+chunk at a time), so nothing is copied into Python-owned memory before the
+scan.
 Because the on-disk layout *is* the stable-hash partition of the
 deduplicated arrays, every per-shard marginal — and therefore every seeded
 release — is bitwise identical to the in-memory backends.

@@ -7,7 +7,11 @@ import pytest
 
 from repro.core import MarginalReleaseEngine
 from repro.exceptions import PlanError, WorkloadError
-from repro.mechanisms import PrivacyBudget
+from repro.mechanisms import (
+    PrivacyBudget,
+    gaussian_sigma_for_budget,
+    laplace_scale_for_budget,
+)
 from repro.plan import Executor, Planner
 from repro.queries import all_k_way
 from repro.queries.matrix import strategy_matrix_from_masks
@@ -45,6 +49,32 @@ class TestPlanner:
         sigma = np.sqrt(2.0 * np.log(2.0 / 1e-6))
         for group in plan.groups:
             assert group.noise_scale == pytest.approx(sigma / group.budget)
+
+    @pytest.mark.parametrize(
+        "budget, zero_weight",
+        [
+            (PrivacyBudget.pure(0.8), False),
+            (PrivacyBudget.approximate(0.8, 1e-5), False),
+            (PrivacyBudget.pure(0.8), True),
+            (PrivacyBudget.approximate(0.8, 1e-5), True),
+        ],
+    )
+    def test_scales_match_the_scalar_helpers(self, workload_2way_5, budget, zero_weight):
+        weights = np.linspace(0.5, 2.0, len(workload_2way_5))
+        if zero_weight:
+            weights[3] = 0.0
+        strategy = query_strategy(workload_2way_5)
+        plan = Planner(workload_2way_5, strategy, query_weights=weights).plan(budget)
+        assert (0.0 in [group.budget for group in plan.groups]) is zero_weight
+        for group in plan.groups:
+            if group.budget == 0.0:
+                assert group.noise_scale is None
+            elif budget.is_pure:
+                expected = laplace_scale_for_budget(group.budget)[0]
+                assert np.float64(group.noise_scale).tobytes() == expected.tobytes()
+            else:
+                expected = gaussian_sigma_for_budget(group.budget, budget.delta)[0]
+                assert np.float64(group.noise_scale).tobytes() == expected.tobytes()
 
     def test_expected_variance_matches_allocation(self, planner_q):
         budget = PrivacyBudget.pure(0.7)

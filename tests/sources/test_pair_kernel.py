@@ -1,7 +1,8 @@
-"""The pair kernel: one- and two-bit marginals from one weighted Gram matrix.
+"""The pair kernel: one- and two-bit marginals from weighted byte histograms.
 
 Every record backend reads the narrow members of a worklist off
-``G = P^T diag(w) P`` (:func:`repro.sources.record.pair_marginals`).  These
+``G = P^T diag(w) P``, built from weighted byte and byte-pair histograms of
+the codes (:func:`repro.sources.record.pair_marginals`).  These
 tests pin it bit for bit against a per-mask projected weighted bincount
 written here — on the raw kernel, on every record source and shard layout,
 on memory-mapped sources — and check its fallback, its chunk edges, its
@@ -136,7 +137,7 @@ class TestKernel:
     @SETTINGS
     @given(
         codes_strategy,
-        st.lists(st.integers(0, 6), min_size=40, max_size=40),
+        st.lists(st.integers(-4, 6), min_size=40, max_size=40),
         st.lists(st.sampled_from(BITS), min_size=1, max_size=6, unique=True),
     )
     def test_pair_marginals_match_per_mask_bincount(self, rows, weight_pool, bits):
@@ -149,7 +150,9 @@ class TestKernel:
             assert_bitwise(out[mask], bincount_reference(codes, weights, mask))
 
     @pytest.mark.parametrize(
-        "rows", [PAIR_CHUNK_ROWS - 1, PAIR_CHUNK_ROWS, PAIR_CHUNK_ROWS + 1]
+        "rows",
+        [PAIR_CHUNK_ROWS - 1, PAIR_CHUNK_ROWS, PAIR_CHUNK_ROWS + 1],
+        ids=["chunk-1", "chunk", "chunk+1"],
     )
     def test_chunk_edges(self, rows):
         rng = np.random.default_rng(rows)
@@ -163,6 +166,30 @@ class TestKernel:
             out = worklist_marginals(codes, weights, work)
         assert counters(recorder)["source.pair_members"] == len(masks) + 1
         for mask in requested(work):
+            assert_bitwise(out[mask], bincount_reference(codes, weights, mask))
+
+    def test_all_eight_bytes(self):
+        # Touched bits in every byte of the code, the 6-bit top byte
+        # included: 28 byte-pair histograms.
+        rng = np.random.default_rng(8)
+        codes = rng.integers(0, 1 << D, 3000, dtype=np.int64)
+        codes[::7] |= (1 << 61) | 1
+        weights = rng.integers(-5, 9, codes.shape[0]).astype(np.float64)
+        bits = (0, 7, 12, 16, 23, 30, 35, 41, 47, 50, 56, 59, 61)
+        assert len({bit >> 3 for bit in bits}) == 8
+        masks = narrow_masks(bits) + [0]
+        out = pair_marginals(codes, weights, masks)
+        assert set(out) == set(masks)
+        for mask in masks:
+            assert_bitwise(out[mask], bincount_reference(codes, weights, mask))
+
+    def test_negative_zero_weights(self):
+        # The bincount's cells start at +0.0, so it never yields -0.0.
+        codes = np.array([1, 2, (1 << 61) | 2], dtype=np.int64)
+        weights = np.array([-0.0, -0.0, -0.0])
+        masks = narrow_masks((0, 1, 61)) + [0]
+        out = pair_marginals(codes, weights, masks)
+        for mask in masks:
             assert_bitwise(out[mask], bincount_reference(codes, weights, mask))
 
     def test_empty_codes(self):
@@ -228,7 +255,7 @@ class TestSources:
     @SETTINGS
     @given(
         codes_strategy.filter(bool),
-        st.lists(st.integers(0, 6), min_size=40, max_size=40),
+        st.lists(st.integers(-4, 6), min_size=40, max_size=40),
         worklists(),
         st.sampled_from(LAYOUTS),
     )
@@ -265,7 +292,7 @@ class TestSources:
     @settings(SETTINGS, max_examples=15)
     @given(
         codes_strategy.filter(bool),
-        st.lists(st.integers(0, 6), min_size=40, max_size=40),
+        st.lists(st.integers(-4, 6), min_size=40, max_size=40),
         worklists(),
         st.integers(1, 4),
         st.integers(1, 2),
@@ -285,22 +312,34 @@ class TestSources:
 
 
 class TestMemory:
-    def test_transient_peak_is_bounded_by_the_chunk(self):
-        rng = np.random.default_rng(7)
-        codes = rng.integers(0, 1 << 32, 200_000, dtype=np.int64)
-        weights = rng.integers(1, 4, codes.shape[0]).astype(np.float64)
-        masks = narrow_masks(range(32))
+    @staticmethod
+    def traced_peak(codes, weights, masks, root):
         with tracing() as recorder:
             tracemalloc.start()
             try:
-                out = worklist_marginals(codes, weights, [((1 << 32) - 1, tuple(masks))])
+                out = worklist_marginals(codes, weights, [(root, tuple(masks))])
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         assert counters(recorder)["source.pair_members"] == len(masks) == len(out)
-        # Four chunk-sized float64 plane matrices (8 MiB); the planes of all
-        # 200k rows at once would take 51 MB.
-        assert peak < 4 * PAIR_CHUNK_ROWS * 32 * 8
+        return peak
+
+    def test_transient_peak_is_bounded_by_the_chunk(self):
+        rng = np.random.default_rng(7)
+        codes = rng.integers(0, 1 << 32, 200_000, dtype=np.int64)
+        weights = rng.integers(1, 4, codes.shape[0]).astype(np.float64)
+        peak = self.traced_peak(codes, weights, narrow_masks(range(32)), (1 << 32) - 1)
+        # 8 MiB; the float64 bit planes of all 200k rows would take 51 MB.
+        assert peak < 8 * 2**20
+
+    def test_transient_peak_at_62_bits_is_row_independent(self):
+        # All 36 histogram passes over several chunks stay inside the bound
+        # the kernel's docstring states for any width and row count.
+        rng = np.random.default_rng(9)
+        codes = rng.integers(0, 1 << D, 3 * PAIR_CHUNK_ROWS + 5, dtype=np.int64)
+        weights = rng.integers(1, 4, codes.shape[0]).astype(np.float64)
+        peak = self.traced_peak(codes, weights, narrow_masks(range(D)), (1 << D) - 1)
+        assert peak < 4 * 2**20
 
 
 def release_digest(result) -> str:
