@@ -34,6 +34,28 @@ class _BitBlock:
         return ((1 << self.width) - 1) << self.offset
 
 
+#: Rows per strip of :func:`_column_max`.
+_STRIP_ROWS = 32
+
+
+def _column_max(matrix: np.ndarray) -> np.ndarray:
+    """Column-wise max of an unsigned ``(n, d)`` matrix (0 for zero rows).
+
+    A C-ordered matrix is reduced over strips of :data:`_STRIP_ROWS` rows,
+    viewed as rows of ``32 * d`` values: the reduction then runs along
+    contiguous memory, which for a few dozen columns is about twice as fast
+    as reducing the narrow rows.  The rows past the last whole strip are
+    reduced on their own.
+    """
+    if not matrix.flags.c_contiguous:
+        return matrix.max(axis=0, initial=0)
+    rows, columns = matrix.shape
+    whole = rows - rows % _STRIP_ROWS
+    strips = matrix[:whole].reshape(-1, _STRIP_ROWS * columns).max(axis=0, initial=0)
+    head = strips.reshape(_STRIP_ROWS, columns).max(axis=0)
+    return np.maximum(head, matrix[whole:].max(axis=0, initial=0))
+
+
 class Schema:
     """Ordered attribute collection with a binary encoding of the domain.
 
@@ -295,7 +317,7 @@ class Schema:
         if matrix.dtype.kind == "i":
             limits = np.minimum(limits, np.uint64(1) << np.uint64(8 * matrix.itemsize - 1))
         unsigned = matrix.view(np.dtype(f"u{matrix.itemsize}"))
-        attr = self._first_flagged(unsigned.max(axis=0, initial=0) >= limits)
+        attr = self._first_flagged(_column_max(unsigned) >= limits)
         if attr is not None:
             raise error(f"column {attr.name!r} contains values outside [0, {attr.cardinality})")
         if matrix.dtype != np.int64:

@@ -35,20 +35,22 @@ class CacheStats:
     metric_prefix: str = ""
 
     # ------------------------------------------------------------------ #
-    def record_hit(self) -> None:
-        self.hits += 1
-        if _obs.ENABLED and self.metric_prefix:
-            _obs.counter_inc(self.metric_prefix + ".hits")
+    # ``count`` records that many events at once (bulk cache operations);
+    # zero records nothing, as that many single calls would.
+    def record_hit(self, count: int = 1) -> None:
+        self.hits += count
+        if _obs.ENABLED and self.metric_prefix and count:
+            _obs.counter_inc(self.metric_prefix + ".hits", count)
 
-    def record_miss(self) -> None:
-        self.misses += 1
-        if _obs.ENABLED and self.metric_prefix:
-            _obs.counter_inc(self.metric_prefix + ".misses")
+    def record_miss(self, count: int = 1) -> None:
+        self.misses += count
+        if _obs.ENABLED and self.metric_prefix and count:
+            _obs.counter_inc(self.metric_prefix + ".misses", count)
 
-    def record_eviction(self) -> None:
-        self.evictions += 1
-        if _obs.ENABLED and self.metric_prefix:
-            _obs.counter_inc(self.metric_prefix + ".evictions")
+    def record_eviction(self, count: int = 1) -> None:
+        self.evictions += count
+        if _obs.ENABLED and self.metric_prefix and count:
+            _obs.counter_inc(self.metric_prefix + ".evictions", count)
 
     # ------------------------------------------------------------------ #
     @property

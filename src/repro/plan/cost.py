@@ -9,8 +9,8 @@ root can cost more than all the direct passes), and a sharded source adds
 pool dispatch overhead but divides the record passes across workers.
 
 :func:`cost_marginal_batches` prices both options per batch with the
-source's own :meth:`~repro.sources.base.CountSource.marginal_cost` /
-:meth:`~repro.sources.base.CountSource.derive_cost` estimates and records
+source's own :meth:`~repro.sources.base.CountSource.marginal_costs` /
+:meth:`~repro.sources.base.CountSource.derive_costs` estimates and records
 the decision as a :class:`BatchCost` on the plan, where the executor honours
 it and ``explain`` reports it.  The decision only changes *how* the exact
 values are computed, never the values themselves — both paths are
@@ -21,7 +21,10 @@ backends still reproduce the same seeded releases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence, Tuple
+
+import numpy as np
 
 from repro.plan.lattice import MarginalBatch
 from repro.sources.base import CountSource
@@ -80,16 +83,25 @@ def cost_marginal_batches(
     out-of-core backends) is never chosen regardless of the estimates.
     """
     ceiling = source.max_root_cells()
+    # Every member of every batch priced from one mask array; the sums stay
+    # Python sums over each batch's slice, so they add in the same order.
+    roots = np.array([batch.root for batch in batches], dtype=np.int64)
+    counts = [len(batch.members) for batch in batches]
+    members = np.array(
+        [member for batch in batches for member in batch.members], dtype=np.int64
+    )
+    owners = np.repeat(roots, counts)
+    direct = source.marginal_costs(members).tolist()
+    derive = np.where(
+        members == owners, 0.0, source.derive_costs(owners, members)
+    ).tolist()
     costs = []
-    for batch in batches:
-        root_cost = source.marginal_cost(batch.root) + sum(
-            source.derive_cost(batch.root, member)
-            for member in batch.members
-            if member != batch.root
-        )
-        direct_cost = float(
-            sum(source.marginal_cost(member) for member in batch.members)
-        )
+    bounds = [0, *accumulate(counts)]
+    for batch, root_cost, start, end in zip(
+        batches, source.marginal_costs(roots).tolist(), bounds, bounds[1:]
+    ):
+        root_cost += sum(derive[start:end])
+        direct_cost = float(sum(direct[start:end]))
         oversized = ceiling is not None and batch.root_cells > ceiling
         use_root = batch.is_trivial or (
             not oversized
@@ -99,7 +111,7 @@ def cost_marginal_batches(
         costs.append(
             BatchCost(
                 root=batch.root,
-                members=len(batch.members),
+                members=end - start,
                 use_root=use_root,
                 root_cost=float(root_cost),
                 direct_cost=direct_cost,

@@ -37,6 +37,7 @@ downstream recovery code run unchanged.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -378,23 +379,19 @@ class Executor:
         generator: np.random.Generator,
         noiseless: bool,
     ) -> List[np.ndarray]:
-        if noiseless:
-            return [
-                np.array(exact, dtype=np.float64, copy=True)
-                if group.measured
-                else np.full_like(np.asarray(exact, dtype=np.float64), np.nan)
-                for group, exact in zip(plan.groups, exacts)
-            ]
-        measured = [group.measured for group in plan.groups]
-        scales = np.concatenate(
-            [
-                np.full(exact.shape[0], group.noise_scale)
-                for group, exact in zip(plan.groups, exacts)
-                if group.measured
-            ]
-        ) if any(measured) else np.empty(0)
-        total = int(scales.shape[0])
-        if total:
+        """Noisy group values: one draw and one add over the concatenated
+        exacts, returned as per-group views of that one array (NaN for
+        groups without budget)."""
+        sizes = [exact.shape[0] for exact in exacts]
+        measured = np.repeat(
+            np.array([group.measured for group in plan.groups], dtype=bool), sizes
+        )
+        flat = np.concatenate(exacts, dtype=np.float64) if exacts else np.empty(0)
+        total = int(np.count_nonzero(measured))
+        if total and not noiseless:
+            scales = np.repeat(
+                [group.noise_scale or 0.0 for group in plan.groups], sizes
+            )[measured]
             with _obs.trace_span(
                 "executor.noise", mechanism=plan.mechanism, cells=total
             ):
@@ -402,18 +399,10 @@ class Executor:
                     draw = laplace_noise(scales, total, generator)
                 else:
                     draw = gaussian_noise(scales, total, generator)
-        else:
-            draw = np.empty(0)
-        noisy: List[np.ndarray] = []
-        offset = 0
-        for group, exact in zip(plan.groups, exacts):
-            exact = np.asarray(exact, dtype=np.float64)
-            if not group.measured:
-                noisy.append(np.full_like(exact, np.nan))
-                continue
-            noisy.append(exact + draw[offset : offset + exact.shape[0]])
-            offset += exact.shape[0]
-        return noisy
+            flat[measured] += draw
+        flat[~measured] = np.nan
+        bounds = [0, *accumulate(sizes)]
+        return [flat[start:end] for start, end in zip(bounds, bounds[1:])]
 
     # ------------------------------------------------------------------ #
     # dense-matrix kernel

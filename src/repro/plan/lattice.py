@@ -247,7 +247,7 @@ def default_batch_bits(d: int, masks: Sequence[int]) -> int:
     keeps each derivation at most ``2**-2`` (and asymptotically ``2**(-d/4)``)
     of a full pass.
     """
-    widest = max(hamming_weight(mask) for mask in masks)
+    widest = max(int(mask).bit_count() for mask in masks)
     return max(widest, d - max(2, d // 4))
 
 
@@ -270,10 +270,11 @@ def plan_marginal_batches(
     max_bits = min(int(max_bits), d)
     roots: List[int] = []
     members: List[List[int]] = []
-    for mask in sorted(masks, key=hamming_weight, reverse=True):
+    # ``int.bit_count`` is ``hamming_weight`` without a Python frame per mask.
+    for mask in sorted(map(int, masks), key=int.bit_count, reverse=True):
         placed = False
         for index, root in enumerate(roots):
-            if dominated_by(mask, root):
+            if mask & root == mask:
                 members[index].append(mask)
                 placed = True
                 break
@@ -281,7 +282,7 @@ def plan_marginal_batches(
             best_index = -1
             best_bits = max_bits + 1
             for index, root in enumerate(roots):
-                bits = hamming_weight(root | mask)
+                bits = (root | mask).bit_count()
                 if bits < best_bits:
                     best_bits = bits
                     best_index = index

@@ -62,7 +62,13 @@ class Planner:
         self._workload = workload
         self._strategy = strategy
         self._non_uniform = non_uniform
-        self._group_specs = strategy.group_specs(query_weights)
+        # Unit weights reuse the strategy's cached specs, which the
+        # executor's allocation check reads too.
+        self._group_specs = (
+            strategy.default_group_specs()
+            if query_weights is None
+            else strategy.group_specs(query_weights)
+        )
         self._query_weights = np.array(
             strategy.resolve_query_weights(query_weights), dtype=np.float64
         )

@@ -17,7 +17,7 @@ import numpy as np
 from repro.domain.contingency import ContingencyTable, marginal_from_vector
 from repro.domain.schema import AttributeRef, Schema
 from repro.exceptions import WorkloadError
-from repro.utils.bits import dominated_by, hamming_weight, iter_submasks
+from repro.utils.bits import dominated_by, iter_submasks
 
 
 @dataclass(frozen=True, order=True)
@@ -49,7 +49,7 @@ class MarginalQuery:
     @property
     def order(self) -> int:
         """Number of binary attributes in the marginal (``||alpha||``)."""
-        return hamming_weight(self.mask)
+        return int(self.mask).bit_count()
 
     @property
     def size(self) -> int:

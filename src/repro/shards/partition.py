@@ -63,17 +63,21 @@ def partition_codes(
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Split ``(codes, weights)`` into ``shards`` stable-hash partitions.
 
-    Boolean selection preserves relative order, so sorted inputs yield
-    sorted per-shard arrays.  Every code lands in exactly one shard, which
-    is what makes per-shard marginal sums exact reassemblies of the full
-    marginal (integer weights sum exactly in float64 in any order).
+    One stable sort by shard id and one gather per array, then each shard is
+    a slice: the sort keeps relative order within a shard, so sorted inputs
+    yield sorted per-shard arrays (the same arrays as a boolean selection
+    per shard).  Every code lands in exactly one shard, which is what makes
+    per-shard marginal sums exact reassemblies of the full marginal (integer
+    weights sum exactly in float64 in any order).
     """
     ids = shard_of_codes(codes, shards)
-    parts: List[Tuple[np.ndarray, np.ndarray]] = []
-    for shard in range(shards):
-        inside = ids == shard
-        parts.append((codes[inside], weights[inside]))
-    return parts
+    # numpy's stable sort radix-sorts ids of at most 16 bits.
+    order = np.argsort(ids.astype(np.min_scalar_type(shards - 1)), kind="stable")
+    codes, weights = codes[order], weights[order]
+    bounds = [0, *np.cumsum(np.bincount(ids, minlength=shards)).tolist()]
+    return [
+        (codes[start:end], weights[start:end]) for start, end in zip(bounds, bounds[1:])
+    ]
 
 
 def check_shard_knobs(shards: Optional[int], workers: Optional[int]) -> None:

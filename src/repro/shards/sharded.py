@@ -64,7 +64,7 @@ from repro.sources.record import (
     memoised_marginals,
     worklist_marginals,
 )
-from repro.utils.bits import hamming_weight
+from repro.utils.bits import hamming_weight, popcount_array
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.domain.schema import Schema
@@ -194,6 +194,7 @@ class ShardedRecordSource(CountSource):
             partition_codes(np.asarray(codes), np.asarray(weights), shard_count)
         )
         self._distinct = int(sum(part[0].shape[0] for part in self._shards))
+        self._largest_shard = max(self.shard_sizes)
         self._total = float(sum(float(part[1].sum()) for part in self._shards))
         self._workers = resolve_worker_count(shard_count, workers)
         self._executor_kind = check_executor_kind(executor)
@@ -519,14 +520,13 @@ class ShardedRecordSource(CountSource):
             return False
         return (1 << root_bits) <= max(self._distinct, 1024)
 
-    def marginal_cost(self, mask: int) -> float:
+    def marginal_costs(self, masks: np.ndarray) -> np.ndarray:
         """Per-shard projection in parallel, output cells per shard, plus a
         flat dispatch overhead per pool task."""
         parallel = max(1, min(self._workers, self.shards))
-        largest = max(self.shard_sizes) if self._shards else 0
         serial_records = self._distinct / parallel if parallel > 1 else self._distinct
-        per_shard_records = max(float(largest), serial_records)
-        cells = float(2.0 ** hamming_weight(mask)) * self.shards
+        per_shard_records = max(float(self._largest_shard), serial_records)
+        cells = np.ldexp(1.0, popcount_array(masks)) * self.shards
         overhead = DISPATCH_OVERHEAD if self._workers > 1 else 0.0
         return per_shard_records + cells + overhead
 

@@ -38,7 +38,7 @@ import numpy as np
 from repro.exceptions import DataError, DomainSizeError
 from repro.fourier.index import submasks_array
 from repro.fourier.kernels import fwht_inplace
-from repro.utils.bits import hamming_weight
+from repro.utils.bits import hamming_weight, popcount_array
 
 #: Largest dimension for which a dense ``2**d`` float64 allocation is allowed
 #: without an explicit override: ``2**26`` cells is 512 MiB.  Above this the
@@ -147,16 +147,22 @@ class CountSource(ABC):
     # ------------------------------------------------------------------ #
     # cost model hooks (backend-aware planning)
     # ------------------------------------------------------------------ #
-    def marginal_cost(self, mask: int) -> float:
-        """Estimated cells touched to answer ``marginal(mask)`` directly.
+    def marginal_costs(self, masks: np.ndarray) -> np.ndarray:
+        """Estimated cells touched to answer ``marginal(mask)`` directly, for
+        every mask of an int64 array.
 
         A unitless estimate used by the planner's per-backend cost model
         (:func:`repro.plan.cost.cost_marginal_batches`) to price batch roots
-        against direct member marginals.  Pure arithmetic — never raises,
-        even for cuboids a real call would refuse.  The dense default is a
-        full domain pass; record-native backends override it.
+        against direct member marginals, one array per plan.  Pure
+        arithmetic — never raises, even for cuboids a real call would
+        refuse.  The dense default is a full domain pass; record-native
+        backends override it.
         """
-        return float(self.domain_size)
+        return np.full(np.shape(masks), float(self.domain_size))
+
+    def marginal_cost(self, mask: int) -> float:
+        """:meth:`marginal_costs` of one mask."""
+        return float(self.marginal_costs(np.array([int(mask)], dtype=np.int64))[0])
 
     def can_materialise(self, mask: int) -> bool:
         """Whether :meth:`marginal` would accept ``mask`` at all.
@@ -168,10 +174,16 @@ class CountSource(ABC):
         """
         return True
 
+    def derive_costs(self, root_masks: np.ndarray, member_masks: np.ndarray) -> np.ndarray:
+        """Estimated cost of aggregating each member from its materialised
+        root marginal (one pass over the root's cells), elementwise over two
+        aligned int64 arrays."""
+        return np.ldexp(1.0, popcount_array(root_masks))
+
     def derive_cost(self, root_mask: int, member_mask: int) -> float:
-        """Estimated cost of aggregating ``member_mask`` from a materialised
-        ``root_mask`` marginal (one pass over the root's cells)."""
-        return float(1 << hamming_weight(root_mask))
+        """:meth:`derive_costs` of one root and member."""
+        roots = np.array([int(root_mask)], dtype=np.int64)
+        return float(self.derive_costs(roots, np.array([int(member_mask)], dtype=np.int64))[0])
 
     def max_root_cells(self) -> Optional[int]:
         """Memory ceiling (in cells) on materialised batch roots, or ``None``.

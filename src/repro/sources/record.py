@@ -27,7 +27,7 @@ take the projected bincount.
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import combinations
+from itertools import chain, combinations
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -52,7 +52,7 @@ from repro.sources.base import (
     ensure_dense_allowed,
     validate_count_vector,
 )
-from repro.utils.bits import bit_indices, hamming_weight
+from repro.utils.bits import bit_indices, hamming_weight, popcount_array
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.domain.schema import Schema
@@ -109,6 +109,15 @@ class MarginalMemo:
     total cells (an array larger than the whole budget is never stored, so
     one wide batch-root marginal cannot pin hundreds of MiB on a cached
     source).  A ``maxsize`` of 0 disables caching entirely.
+
+    A worklist reaches the memo in bulk: :meth:`get_many` looks up all its
+    masks and :meth:`put_many` stores what was computed, each in one call
+    that leaves the entries, their LRU order, :attr:`cells` and the
+    hit/miss/eviction counters exactly as :meth:`get` / :meth:`put` of each
+    mask in turn would.  :meth:`put_many` stores only the values that would
+    survive that loop, so a worklist longer than the memo does not insert
+    (and its caller does not copy) entries that the loop would evict again
+    in the same call.
     """
 
     __slots__ = ("_entries", "_maxsize", "_max_cells", "_cells", "stats")
@@ -145,6 +154,16 @@ class MarginalMemo:
         self.stats.record_hit()
         return value
 
+    def get_many(self, masks: Sequence[int]) -> Dict[int, np.ndarray]:
+        """:meth:`get` of every mask in turn: the held arrays of the hits."""
+        entries = self._entries
+        hits = [mask for mask in masks if mask in entries]
+        for mask in hits:
+            entries.move_to_end(mask)
+        self.stats.record_hit(len(hits))
+        self.stats.record_miss(len(masks) - len(hits))
+        return {mask: entries[mask] for mask in hits}
+
     def put(self, mask: int, value: np.ndarray) -> bool:
         """Store ``value``; returns whether it was cached (too-large arrays
         are not, and the caller then keeps sole ownership — no copy needed)."""
@@ -160,6 +179,43 @@ class MarginalMemo:
             self._cells -= evicted.size
             self.stats.record_eviction()
         return True
+
+    def put_many(self, items: Sequence[Tuple[int, np.ndarray]]) -> List[int]:
+        """:meth:`put` of every ``(mask, value)`` in turn; returns the masks
+        it stored, whose arrays the memo now owns (the caller copies them).
+
+        The masks must be distinct and not held, as the misses of one
+        :meth:`get_many` are.  The loop appends at the back and evicts from
+        the front until both bounds hold again; the front it stops at never
+        moves back, so the survivors are the longest suffix of (held
+        entries, storable items) within both bounds, and every entry before
+        that suffix is one eviction.
+        """
+        masks = [mask for mask, _value in items]
+        if len(set(masks)) != len(masks) or not self._entries.keys().isdisjoint(masks):
+            raise ValueError("put_many needs distinct masks that the memo does not hold")
+        if self._maxsize <= 0:
+            return []
+        storable = [(mask, value) for mask, value in items if value.size <= self._max_cells]
+        held = len(self._entries)
+        sizes = np.array(
+            [value.size for value in self._entries.values()]
+            + [value.size for _mask, value in storable],
+            dtype=np.int64,
+        )
+        suffix_cells = np.cumsum(sizes[::-1])[::-1]
+        front = max(
+            sizes.shape[0] - self._maxsize,
+            int(np.count_nonzero(suffix_cells > self._max_cells)),
+        )
+        for _ in range(min(front, held)):
+            self._entries.popitem(last=False)
+        kept = storable[max(front - held, 0) :]
+        self._entries.update(kept)
+        self._cells = int(suffix_cells[front]) if front < sizes.shape[0] else 0
+        if front:
+            self.stats.record_eviction(front)
+        return [mask for mask, _value in kept]
 
 
 def projected_marginals(
@@ -392,7 +448,7 @@ def worklist_marginals(
         int(member)
         for _root, members in work
         for member in members
-        if hamming_weight(int(member)) <= PAIR_MAX_BITS
+        if int(member).bit_count() <= PAIR_MAX_BITS
     }
     touched = 0
     for member in narrow:
@@ -425,37 +481,56 @@ def memoised_marginals(
 ) -> Dict[int, np.ndarray]:
     """The ``marginals_for_batches`` of the record backends around their memo.
 
-    Validates every mask, serves memo hits as fresh copies, hands the rest
-    to ``compute`` as ONE worklist (each member once) and memoises what it
-    returns; callers own every returned array.
+    Validates every mask (one range check over all of them, one width check
+    over the members), serves memo hits as fresh copies, hands the rest to
+    ``compute`` as ONE worklist (each member once) and memoises what it
+    returns with one :meth:`MarginalMemo.put_many`, which stores only the
+    members that stay in the memo; callers own every returned array.  A
+    worklist with an invalid mask is rejected before the memo is touched.
     """
-    values: Dict[int, np.ndarray] = {}
+    roots = [int(root) for root, _members in batches]
+    member_lists = [[int(member) for member in members] for _root, members in batches]
+    unique = list(dict.fromkeys(chain.from_iterable(member_lists)))
+    masks = roots + unique
+    if masks and (
+        min(masks) < 0
+        or max(masks) >= source.domain_size
+        or (unique and int(popcount_array(np.array(unique)).max()) > limit_bits)
+    ):
+        _raise_for_masks(source, batches, limit_bits)
+    cached = memo.get_many(unique)
+    values = {member: value.copy() for member, value in cached.items()}
+    pending = set(unique).difference(cached)
     work: List[Tuple[int, Tuple[int, ...]]] = []
+    for root, members in zip(roots, member_lists):
+        needed = tuple(dict.fromkeys(member for member in members if member in pending))
+        if needed:
+            pending.difference_update(needed)
+            work.append((root, needed))
+    if work:
+        computed = compute(work)
+        values.update(computed)
+        for member in memo.put_many(list(computed.items())):
+            values[member] = computed[member].copy()
+    return values
+
+
+def _raise_for_masks(
+    source: CountSource, batches: Sequence[Tuple[int, Sequence[int]]], limit_bits: int
+) -> None:
+    """Check each mask of a worklist in turn; raises for the first bad one."""
     seen = set()
     for root, members in batches:
-        root = source.check_mask(int(root))
-        needed: List[int] = []
+        source.check_mask(int(root))
         for member in members:
             member = source.check_mask(int(member))
-            if member in seen:
-                continue
-            seen.add(member)
-            ensure_dense_allowed(
-                hamming_weight(member),
-                limit_bits=limit_bits,
-                what=f"the cuboid marginal {member:#x}",
-            )
-            cached = memo.get(member)
-            if cached is not None:
-                values[member] = cached.copy()
-            else:
-                needed.append(member)
-        if needed:
-            work.append((root, tuple(needed)))
-    if work:
-        for member, value in compute(work).items():
-            values[member] = value.copy() if memo.put(member, value) else value
-    return values
+            if member not in seen:
+                seen.add(member)
+                ensure_dense_allowed(
+                    hamming_weight(member),
+                    limit_bits=limit_bits,
+                    what=f"the cuboid marginal {member:#x}",
+                )
 
 
 class RecordSource(CountSource):
@@ -665,10 +740,10 @@ class RecordSource(CountSource):
             return False
         return (1 << root_bits) <= max(self.distinct_records, 1024)
 
-    def marginal_cost(self, mask: int) -> float:
+    def marginal_costs(self, masks: np.ndarray) -> np.ndarray:
         """Projected-bincount cost: one pass over the ``n`` distinct codes
         plus the ``2**k`` output cells — independent of ``2**d``."""
-        return float(self.distinct_records) + float(2.0 ** hamming_weight(mask))
+        return float(self.distinct_records) + np.ldexp(1.0, popcount_array(masks))
 
     def can_materialise(self, mask: int) -> bool:
         return hamming_weight(mask) <= self._limit_bits

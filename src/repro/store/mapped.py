@@ -130,6 +130,7 @@ class MappedRecordSource(ShardedRecordSource):
         self._schema = schema
         self._limit_bits = DENSE_LIMIT_BITS if limit_bits is None else int(limit_bits)
         self._shards = shards
+        self._largest_shard = max(self.shard_sizes)
         self._distinct = (
             int(distinct_records)
             if distinct_records is not None
@@ -192,18 +193,15 @@ class MappedRecordSource(ShardedRecordSource):
     # ------------------------------------------------------------------ #
     # planner hooks: scans stream from disk, derivations stay in memory
     # ------------------------------------------------------------------ #
-    def marginal_cost(self, mask: int) -> float:
+    def marginal_costs(self, masks: np.ndarray) -> np.ndarray:
         """In-memory kernel cost plus an I/O term for streaming the shard
-        files — every direct scan re-reads the mapped bytes."""
+        files — every direct scan re-reads the mapped bytes.  Refining a
+        member from a materialised root (:meth:`derive_costs`) touches only
+        the root's in-memory cells and gets no I/O term, so the planner is
+        steered toward one shared scan per batch on mapped backends."""
         parallel = max(1, min(self._workers, self.shards))
         io_records = self._distinct / parallel if parallel > 1 else self._distinct
-        return super().marginal_cost(mask) + IO_COST_FACTOR * float(io_records)
-
-    def derive_cost(self, root_mask: int, member_mask: int) -> float:
-        """Refining a member from a materialised root touches only the
-        root's in-memory cells — no I/O term — so the planner is steered
-        toward one shared scan per batch on mapped backends."""
-        return super().derive_cost(root_mask, member_mask)
+        return super().marginal_costs(masks) + IO_COST_FACTOR * float(io_records)
 
     def prefers_batch_root(self, root_mask: int) -> bool:
         ceiling = self.max_root_cells()

@@ -85,22 +85,25 @@ class MarginalSetStrategy(Strategy):
         assignment: Optional[Dict[int, int]] = None,
     ):
         super().__init__(workload, name=name)
-        masks: List[int] = []
-        seen = set()
-        for mask in strategy_masks:
-            mask = int(mask)
-            if mask in seen:
-                continue
-            if not (0 <= mask < workload.domain_size):
+        masks = list(dict.fromkeys(int(mask) for mask in strategy_masks))
+        domain = workload.domain_size
+        for mask in masks:
+            if not (0 <= mask < domain):
                 raise WorkloadError(
                     f"strategy mask {mask:#x} outside the workload's {workload.dimension}-bit domain"
                 )
-            seen.add(mask)
-            masks.append(mask)
         if not masks:
             raise WorkloadError("a marginal-set strategy needs at least one strategy marginal")
         self._strategy_masks = tuple(masks)
+        self._labels = {mask: _group_label(mask) for mask in masks}
         self._assignment = self._build_assignment(assignment)
+        position = {mask: index for index, mask in enumerate(masks)}
+        # Strategy-marginal position of every query, in workload order: the
+        # group weights are one bincount over it.
+        self._assigned_positions = np.array(
+            [position[self._assignment[query.mask]] for query in workload.queries],
+            dtype=np.int64,
+        )
 
     # ------------------------------------------------------------------ #
     def _build_assignment(self, explicit: Optional[Dict[int, int]]) -> Dict[int, int]:
@@ -108,12 +111,12 @@ class MarginalSetStrategy(Strategy):
         for query in self._workload.queries:
             if explicit is not None and query.mask in explicit:
                 target = int(explicit[query.mask])
-                if target not in self._strategy_masks:
+                if target not in self._labels:
                     raise WorkloadError(
                         f"query {query.mask:#x} assigned to {target:#x}, which is not a "
                         "strategy marginal"
                     )
-                if not dominated_by(query.mask, target):
+                if query.mask & target != query.mask:
                     raise WorkloadError(
                         f"query {query.mask:#x} is not dominated by its assigned strategy "
                         f"marginal {target:#x}"
@@ -156,23 +159,27 @@ class MarginalSetStrategy(Strategy):
 
     def group_specs(self, a: Optional[Sequence[float]] = None) -> List[GroupSpec]:
         weights = self.resolve_query_weights(a)
-        assigned_weight: Dict[int, float] = {mask: 0.0 for mask in self._strategy_masks}
-        for query, weight in zip(self._workload.queries, weights):
-            assigned_weight[self._assignment[query.mask]] += float(weight)
-        specs = []
-        for mask in self._strategy_masks:
-            cells = 1 << hamming_weight(mask)
-            specs.append(
-                GroupSpec(
-                    label=_group_label(mask),
-                    size=cells,
-                    constant=1.0,
-                    # Each strategy cell feeds exactly one cell of every
-                    # assigned query with coefficient 1.
-                    weight=cells * assigned_weight[mask],
-                )
+        # int.bit_count, not popcount_array: as fast on a few hundred masks,
+        # and it takes masks past int64 (wider schemas can still be planned).
+        orders = [mask.bit_count() for mask in self._strategy_masks]
+        # bincount adds each bin's weights in workload order, starting from
+        # 0.0: the same float sums as accumulating query by query.
+        assigned_weight = np.bincount(
+            self._assigned_positions, weights=weights, minlength=len(self._strategy_masks)
+        )
+        return [
+            GroupSpec(
+                label=self._labels[mask],
+                size=1 << order,
+                constant=1.0,
+                # Each strategy cell feeds exactly one cell of every
+                # assigned query with coefficient 1.
+                weight=(1 << order) * assigned,
             )
-        return specs
+            for mask, order, assigned in zip(
+                self._strategy_masks, orders, assigned_weight.tolist()
+            )
+        ]
 
     def measure(
         self, x: np.ndarray, allocation: NoiseAllocation, rng: RngLike = None
@@ -183,7 +190,7 @@ class MarginalSetStrategy(Strategy):
         d = self.dimension
         values: Dict[str, np.ndarray] = {}
         for mask in self._strategy_masks:
-            label = _group_label(mask)
+            label = self._labels[mask]
             eta = allocation.budget_for(label)
             exact = marginal_from_vector(vector, mask, d)
             if eta <= 0.0:
@@ -207,8 +214,13 @@ class MarginalSetStrategy(Strategy):
         estimates = []
         for query in self._workload.queries:
             source_mask = self._assignment[query.mask]
-            noisy = measurement.group_values(_group_label(source_mask))
-            estimates.append(submarginal(noisy, source_mask, query.mask))
+            noisy = measurement.group_values(self._labels[source_mask])
+            if source_mask == query.mask:
+                # The query is its own strategy marginal: the aggregation is
+                # the identity, so a copy is the same values.
+                estimates.append(np.array(noisy, dtype=np.float64))
+            else:
+                estimates.append(submarginal(noisy, source_mask, query.mask))
         return estimates
 
 

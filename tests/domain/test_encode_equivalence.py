@@ -210,6 +210,53 @@ class TestErrors:
         assert schema.encode_records(matrix[:1]).tolist() == [2]
 
 
+class TestColumnMaxStrips:
+    """``check_records`` reduces C-ordered matrices in strips of 32 rows and
+    the rows past the last whole strip on their own; a bad value anywhere
+    still names the same column with the same message."""
+
+    ROWS = 100  # three whole strips and four trailing rows
+
+    @pytest.fixture
+    def schema(self):
+        return Schema([Attribute(f"c{position}", 3 + position) for position in range(5)])
+
+    @pytest.mark.parametrize(
+        "row, column, value",
+        [
+            (97, 3, 6),  # trailing partial strip
+            (ROWS - 1, 4, 7),  # last row
+            (ROWS - 1, 0, 3),  # last row, first column
+            (40, 2, -1),  # negative, inside a whole strip
+            (99, 1, -(2**40)),  # negative, trailing rows
+            (31, 4, 2**40),  # last row of the first strip
+        ],
+    )
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bad_value_names_its_column(self, schema, row, column, value, order):
+        matrix = np.zeros((self.ROWS, len(schema)), dtype=np.int64)
+        matrix[row, column] = value
+        matrix[5, column] = 1  # a valid value earlier in the same column
+        matrix = np.asarray(matrix, order=order)
+        assert_same_failure(
+            lambda: schema.check_records(matrix),
+            lambda: legacy_encode(schema, matrix),
+            SchemaError,
+        )
+
+    @pytest.mark.parametrize("rows", [0, 1, 31, 32, 33, 64, 100])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_valid_matrices_pass_unchanged(self, schema, rows, order):
+        cards = np.array([attr.cardinality for attr in schema.attributes])
+        generator = np.random.default_rng(rows)
+        matrix = np.asarray(
+            (generator.random((rows, len(cards))) * cards).astype(np.int64), order=order
+        )
+        checked = schema.check_records(matrix)
+        assert checked is matrix
+        assert np.array_equal(schema.pack_records(checked), legacy_encode(schema, matrix))
+
+
 class TestFloatRecords:
     @pytest.mark.parametrize(
         "records, column",

@@ -95,6 +95,71 @@ class TestDecisions:
         assert cost.chosen_cost == 4.0
 
 
+def per_member_costs(source, batches):
+    """The reference: every batch priced member by member through the
+    scalar hooks."""
+    ceiling = source.max_root_cells()
+    costs = []
+    for batch in batches:
+        root_cost = source.marginal_cost(batch.root) + sum(
+            source.derive_cost(batch.root, member)
+            for member in batch.members
+            if member != batch.root
+        )
+        direct_cost = float(sum(source.marginal_cost(member) for member in batch.members))
+        oversized = ceiling is not None and batch.root_cells > ceiling
+        use_root = batch.is_trivial or (
+            not oversized and source.can_materialise(batch.root) and root_cost <= direct_cost
+        )
+        costs.append(
+            BatchCost(
+                root=batch.root,
+                members=len(batch.members),
+                use_root=use_root,
+                root_cost=float(root_cost),
+                direct_cost=direct_cost,
+                backend=source.backend,
+            )
+        )
+    return tuple(costs)
+
+
+class TestArrayPricing:
+    """``cost_marginal_batches`` prices a plan from one mask array per hook;
+    each estimate equals the member-by-member sum exactly."""
+
+    @pytest.mark.parametrize("layout", ["dense", "record", "serial-shards", "parallel-shards"])
+    @pytest.mark.parametrize("bits", [None, 3, 5])
+    def test_matches_per_member_pricing(self, dataset, layout, bits):
+        codes, weights = dataset.encoded_counts()
+        source = {
+            "dense": lambda: dataset.as_source(backend="dense"),
+            "record": lambda: RecordSource(codes, weights, dimension=D, limit_bits=4),
+            "serial-shards": lambda: ShardedRecordSource(
+                codes, weights, dimension=D, shards=3, workers=1
+            ),
+            "parallel-shards": lambda: ShardedRecordSource(
+                codes, weights, dimension=D, shards=3, workers=2
+            ),
+        }[layout]()
+        workload = all_k_way(dataset.schema, 3)
+        batches = Planner(workload, query_strategy(workload), max_batch_bits=bits).batches
+        assert cost_marginal_batches(source, batches) == per_member_costs(source, batches)
+
+    def test_scalar_hooks_keep_their_formulas(self):
+        codes = np.arange(1001, dtype=np.int64)
+        record = RecordSource(codes, dimension=12)
+        assert record.marginal_cost(0b111) == 1001.0 + 8.0
+        sharded = ShardedRecordSource(codes, dimension=12, shards=3, workers=3)
+        largest = max(sharded.shard_sizes)
+        expected = max(float(largest), 1001 / 3) + 8.0 * 3 + 256.0
+        assert sharded.marginal_cost(0b111) == expected
+        assert sharded.derive_cost(0b1111, 0b11) == 16.0
+
+    def test_empty_plan(self):
+        assert cost_marginal_batches(RecordSource(np.arange(4), dimension=D), ()) == ()
+
+
 class TestPlansCarryDecisions:
     def test_plan_without_source_has_no_costs(self, dataset, workload):
         planner = Planner(workload, query_strategy(workload))

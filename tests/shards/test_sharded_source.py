@@ -75,6 +75,27 @@ class TestPartition:
         for part_codes, _ in partition_codes(codes, np.ones(codes.shape[0]), 5):
             assert np.all(np.diff(part_codes) > 0)
 
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("kind", ["empty", "unsorted", "sorted"])
+    def test_matches_boolean_selection(self, shards, kind):
+        """The sort-and-slice partition gives bitwise the arrays of one
+        boolean selection per shard, relative order kept."""
+        generator = np.random.default_rng(shards)
+        codes = {
+            "empty": np.empty(0, dtype=np.int64),
+            "unsorted": generator.integers(0, 1 << 40, 3000),
+            "sorted": np.unique(generator.integers(0, 1 << 40, 3000)),
+        }[kind]
+        weights = generator.integers(1, 9, codes.shape[0]).astype(np.float64)
+        ids = shard_of_codes(codes, shards)
+        parts = partition_codes(codes, weights, shards)
+        assert len(parts) == shards
+        for shard, (part_codes, part_weights) in enumerate(parts):
+            inside = ids == shard
+            for actual, expected in ((part_codes, codes[inside]), (part_weights, weights[inside])):
+                assert actual.dtype == expected.dtype
+                assert np.array_equal(actual, expected)
+
     def test_resolution_rules(self, monkeypatch):
         import repro.shards.partition as partition
 

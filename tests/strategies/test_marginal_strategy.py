@@ -9,6 +9,8 @@ from repro.budget.allocation import optimal_allocation, uniform_allocation
 from repro.budget.grouping import greedy_grouping, group_specs_from_matrices
 from repro.exceptions import WorkloadError
 from repro.mechanisms import PrivacyBudget
+from repro.domain import Schema
+from repro.plan import Executor, Planner
 from repro.queries import MarginalQuery, MarginalWorkload, all_k_way, star_workload
 from repro.queries.matrix import strategy_matrix_from_masks, workload_matrix
 from repro.strategies import MarginalSetStrategy, query_strategy
@@ -69,6 +71,28 @@ class TestConstruction:
                 workload, [union], assignment={workload.masks[4]: union}
             )  # query 'e' not dominated by the union of a and b
 
+    def test_explicit_assignment_errors_keep_their_messages(self, binary_schema_5):
+        workload = all_k_way(binary_schema_5, 1)
+        with pytest.raises(
+            WorkloadError, match=r"^query 0x1 assigned to 0x5, which is not a strategy marginal$"
+        ):
+            MarginalSetStrategy(workload, [0b00011, 0b11100], assignment={0b1: 0b101})
+        with pytest.raises(
+            WorkloadError,
+            match=r"^query 0x4 is not dominated by its assigned strategy marginal 0x3$",
+        ):
+            MarginalSetStrategy(workload, [0b00011, 0b11100], assignment={0b100: 0b11})
+
+    def test_masks_past_int64_can_be_planned(self):
+        schema = Schema.binary([f"a{i}" for i in range(70)])
+        workload = all_k_way(schema, 1)
+        strategy = query_strategy(workload)
+        specs = strategy.group_specs()
+        assert [spec.size for spec in specs] == [2] * 70
+        assert all(spec.weight == 2.0 for spec in specs)
+        plan = Planner(workload, strategy).plan(PrivacyBudget.pure(1.0))
+        assert len(plan.groups) == 70
+
     def test_duplicate_strategy_masks_collapse(self, workload_2way_5):
         masks = list(workload_2way_5.masks) * 2
         strategy = MarginalSetStrategy(workload_2way_5, masks)
@@ -115,6 +139,21 @@ class TestGroupSpecs:
         assert spec.size == 32
         assert spec.weight == pytest.approx(32 * 5)
 
+    def test_weights_sum_queries_in_workload_order(self, binary_schema_5):
+        """The group weights are the float sums of the assigned queries'
+        weights, added in workload order: bit for bit a per-query loop."""
+        workload = all_k_way(binary_schema_5, 2)
+        strategy = MarginalSetStrategy(workload, [0b00111, 0b11100, 0b11011])
+        weights = np.random.default_rng(3).random(len(workload)) * 10.0
+        assigned = {mask: 0.0 for mask in strategy.strategy_masks}
+        for query, weight in zip(workload.queries, weights):
+            assigned[strategy.assignment[query.mask]] += float(weight)
+        specs = strategy.group_specs(weights)
+        for spec, mask in zip(specs, strategy.strategy_masks):
+            cells = 1 << bin(mask).count("1")
+            assert spec.size == cells
+            assert spec.weight == cells * assigned[mask]
+
     def test_query_weight_vector(self, workload_2way_5):
         strategy = query_strategy(workload_2way_5)
         a = np.zeros(len(workload_2way_5))
@@ -155,6 +194,29 @@ class TestMeasureAndEstimate:
         # The used marginals are still fine.
         estimates = strategy.estimate(measurement)
         assert all(np.all(np.isfinite(e)) for e in estimates)
+
+    @pytest.mark.parametrize("executor", [False, True])
+    def test_q_estimates_do_not_alias_the_measurement(
+        self, workload_2way_5, random_counts_5, executor
+    ):
+        strategy = query_strategy(workload_2way_5)
+        if executor:
+            plan = Planner(workload_2way_5, strategy).plan(PrivacyBudget.pure(1.0))
+            measurement = Executor(strategy).measure(plan, random_counts_5, rng=4)
+        else:
+            allocation = optimal_allocation(strategy.group_specs(), PrivacyBudget.pure(1.0))
+            measurement = strategy.measure(random_counts_5, allocation, rng=4)
+        labels = [f"marginal-{mask:#x}" for mask in workload_2way_5.masks]
+        measured = [measurement.group_values(label).copy() for label in labels]
+        estimates = strategy.estimate(measurement)
+        for estimate, values in zip(estimates, measured):
+            assert np.array_equal(estimate, values)
+            estimate[:] = -1.0
+        for label, values in zip(labels, measured):
+            assert np.array_equal(measurement.group_values(label), values)
+            measurement.group_values(label)[:] = 7.0
+        for estimate in estimates:
+            assert np.all(estimate == -1.0)
 
     def test_gaussian_measurement_runs(self, workload_2way_5, random_counts_5):
         strategy = query_strategy(workload_2way_5)
