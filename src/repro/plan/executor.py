@@ -11,9 +11,9 @@ batched passes:
    * ``"marginal"``: a grouped subset-sum pass per batch.  The batch root
      (the union of its members' masks) is materialised once from the source;
      every member marginal is then aggregated from the root's
-     ``2**||root||`` cells.  Record-native sources skip roots that would
-     cost more than direct per-member passes
-     (:meth:`~repro.sources.base.CountSource.prefers_batch_root`);
+     ``2**||root||`` cells.  The plan's cost model
+     (:func:`~repro.plan.cost.cost_marginal_batches`) skips roots that
+     would cost more than direct per-member passes;
    * ``"fourier"``: the targeted small-Hadamard computation of all required
      coefficients from the source's exact marginals;
    * ``"matrix"``: one dense strategy-matrix product (dense-only: a
@@ -51,6 +51,7 @@ from repro.mechanisms.noise import (
 )
 from repro.obs import runtime as _obs
 from repro.obs.ledger import BudgetCharge
+from repro.plan.cost import cost_marginal_batches
 from repro.plan.plan import ExecutionPlan
 from repro.resilience.checkpoint import ReleaseCheckpoint, plan_fingerprint
 from repro.sources.base import CountSource
@@ -83,10 +84,10 @@ def batched_marginals(
     any :class:`~repro.sources.base.CountSource`.  Each batch either
     materialises its root with one source pass and aggregates every member
     from the root's ``2**||root||`` cells, or answers each member directly —
-    decided by the plan's backend-aware cost model (``costs``, a
-    :class:`~repro.plan.cost.BatchCost` per batch) when present, else by the
-    source's own :meth:`~repro.sources.base.CountSource.prefers_batch_root`.
-    The values are identical either way.
+    decided by the backend-aware cost model: the plan's ``costs`` (a
+    :class:`~repro.plan.cost.BatchCost` per batch) when present, else
+    :func:`~repro.plan.cost.cost_marginal_batches` of ``source`` here.  The
+    values are identical either way.
 
     All direct source computations of the whole worklist go through ONE
     :meth:`~repro.sources.base.CountSource.marginals_for_batches` call, so
@@ -105,19 +106,16 @@ def batched_marginals(
     does not change.
     """
     source = _as_source(source, d)
-    if costs is not None and len(costs) != len(batches):
+    if costs is None:
+        costs = cost_marginal_batches(source, batches)
+    elif len(costs) != len(batches):
         raise PlanError(
             f"got {len(costs)} batch costs for {len(batches)} batches"
         )
     flags = []
     work = []
-    for index, batch in enumerate(batches):
-        if batch.is_trivial:
-            use_root = True
-        elif costs is not None:
-            use_root = costs[index].use_root
-        else:
-            use_root = source.prefers_batch_root(batch.root)
+    for batch, cost in zip(batches, costs):
+        use_root = batch.is_trivial or cost.use_root
         flags.append(use_root)
         work.append((batch.root, (batch.root,) if use_root else batch.members))
     if _obs.ENABLED:

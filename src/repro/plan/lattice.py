@@ -179,20 +179,11 @@ class CoveringIndex:
         """
         if self._variances is None:
             raise ValueError("CoveringIndex was built without cell variances")
-        if exclude:
-            # Quarantine is the rare degraded path; the filtered scalar scan
-            # keeps it bit-identical to the planner's historical behaviour.
-            positions = {
-                mask_: position
-                for mask_, position in self._positions.items()
-                if mask_ not in exclude
-            }
-            return min_variance_source(
-                mask,
-                {m: float(v) for m, v in zip(self.masks, self._variances)},
-                positions,
-            )
         candidates = self._candidates(mask)
+        if exclude and len(candidates):
+            # Quarantined sources are masked out of the same candidate scan.
+            excluded = np.fromiter(exclude, dtype=np.uint64, count=len(exclude))
+            candidates = candidates[~np.isin(self._masks[candidates], excluded)]
         if not len(candidates):
             return None
         order = hamming_weight(mask)

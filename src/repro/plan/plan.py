@@ -124,10 +124,9 @@ class ExecutionPlan:
         Per-batch root-vs-direct decisions of the backend-aware cost model
         (:func:`repro.plan.cost.cost_marginal_batches`), aligned with
         ``batches``; ``None`` when the plan was built without a source (the
-        executor then falls back to the source's
-        :meth:`~repro.sources.base.CountSource.prefers_batch_root` at run
-        time).  Either way the exact values are identical — the decision
-        only changes how they are computed.
+        executor then prices the batches against the source it is handed,
+        with the same cost model).  Either way the exact values are
+        identical — the decision only changes how they are computed.
     seed_policy:
         Documentation of how the executor consumes the random stream.
     """

@@ -134,7 +134,8 @@ class Planner:
         (:func:`repro.plan.cost.cost_marginal_batches`) and the
         root-vs-direct decision is recorded on the plan for the executor to
         honour and ``explain`` to report.  Without a source the plan stays
-        fully data-independent and the executor decides at run time.
+        fully data-independent and the executor prices the batches against
+        its source at run time, with the same cost model.
         """
         allocation = self.allocation(budget)
         # Every positive group budget converted in one call; the division is

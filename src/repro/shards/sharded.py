@@ -62,6 +62,7 @@ from repro.sources.record import (
     MarginalMemo,
     RecordSource,
     memoised_marginals,
+    with_pair_costs,
     worklist_marginals,
 )
 from repro.utils.bits import hamming_weight, popcount_array
@@ -76,31 +77,22 @@ DISPATCH_OVERHEAD = 256.0
 Worklist = Sequence[Tuple[int, Sequence[int]]]
 
 
-def _traced_shard_kernel(
+def _shard_kernel(
     shard: int, codes: np.ndarray, weights: np.ndarray, work: Worklist
 ) -> Dict[int, np.ndarray]:
-    """The shard kernel wrapped in a per-task span.
+    """:func:`~repro.sources.record.worklist_marginals` of one shard under
+    the uniform ``(shard, codes, weights, work)`` dispatch signature.
 
-    Module-level so process pools can still pickle it.  In a process-pool
-    child the observability flag is off (it is process-local), so the span
-    degrades to the shared no-op there; thread pools record real per-shard
-    spans on their worker threads.
+    Module-level so process pools can pickle it.  Traced runs wrap the
+    kernel in a per-shard span; in a process-pool child the observability
+    flag is off (it is process-local), so only thread pools record them.
     """
     if _faults.ENABLED:
         _faults.fire("shards.task", shard=shard)
+    if not _obs.ENABLED:
+        return worklist_marginals(codes, weights, work)
     with _obs.trace_span("shards.kernel", shard=shard, records=int(codes.shape[0])):
         return worklist_marginals(codes, weights, work)
-
-
-def _plain_shard_kernel(
-    shard: int, codes: np.ndarray, weights: np.ndarray, work: Worklist
-) -> Dict[int, np.ndarray]:
-    """:func:`~repro.sources.record.worklist_marginals` under the uniform
-    ``(shard, codes, weights, work)`` dispatch signature (module-level for
-    process pools)."""
-    if _faults.ENABLED:
-        _faults.fire("shards.task", shard=shard)
-    return worklist_marginals(codes, weights, work)
 
 
 @dataclass
@@ -333,7 +325,7 @@ class ShardedRecordSource(CountSource):
     def _shard_kernel_callable(self):
         """The per-shard kernel under the ``(shard, codes, weights, work)``
         signature; module-level so process pools can pickle it."""
-        return _traced_shard_kernel if _obs.ENABLED else _plain_shard_kernel
+        return _shard_kernel
 
     @staticmethod
     def _accumulate(
@@ -513,22 +505,23 @@ class ShardedRecordSource(CountSource):
     # ------------------------------------------------------------------ #
     # planner hooks
     # ------------------------------------------------------------------ #
-    def prefers_batch_root(self, root_mask: int) -> bool:
-        """Same refinement rule as the unsharded record source."""
-        root_bits = hamming_weight(root_mask)
-        if root_bits > self._limit_bits:
-            return False
-        return (1 << root_bits) <= max(self._distinct, 1024)
-
     def marginal_costs(self, masks: np.ndarray) -> np.ndarray:
         """Per-shard projection in parallel, output cells per shard, plus a
-        flat dispatch overhead per pool task."""
+        flat dispatch overhead per pool task.  Members of at most two bits
+        share the pair kernels the shards would run instead, one per shard
+        round over the largest shard."""
         parallel = max(1, min(self._workers, self.shards))
         serial_records = self._distinct / parallel if parallel > 1 else self._distinct
         per_shard_records = max(float(self._largest_shard), serial_records)
         cells = np.ldexp(1.0, popcount_array(masks)) * self.shards
         overhead = DISPATCH_OVERHEAD if self._workers > 1 else 0.0
-        return per_shard_records + cells + overhead
+        return with_pair_costs(
+            per_shard_records + cells + overhead,
+            masks,
+            self._largest_shard,
+            scale=per_shard_records / max(self._largest_shard, 1),
+            extra=overhead,
+        )
 
     def can_materialise(self, mask: int) -> bool:
         return hamming_weight(mask) <= self._limit_bits

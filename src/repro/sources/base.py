@@ -133,17 +133,6 @@ class CountSource(ABC):
         targeted :class:`DataError` instead of attempting the allocation.
         """
 
-    def prefers_batch_root(self, root_mask: int) -> bool:
-        """Whether materialising ``root_mask`` once and refining members from
-        it (the grouped subset-sum kernel) beats computing members directly.
-
-        Dense sources always prefer the root: a full ``O(2**d)`` pass is the
-        expensive part and the root amortises it.  Record sources override
-        this — their per-marginal cost is ``O(n + 2**k)``, so a huge shared
-        root can cost more than direct per-member passes.
-        """
-        return True
-
     # ------------------------------------------------------------------ #
     # cost model hooks (backend-aware planning)
     # ------------------------------------------------------------------ #
@@ -155,14 +144,12 @@ class CountSource(ABC):
         (:func:`repro.plan.cost.cost_marginal_batches`) to price batch roots
         against direct member marginals, one array per plan.  Pure
         arithmetic — never raises, even for cuboids a real call would
-        refuse.  The dense default is a full domain pass; record-native
-        backends override it.
+        refuse.  ``masks`` is one worklist, so an estimate may price its
+        members jointly (record backends share one pair-kernel estimate
+        among the members of at most two bits).  The dense default is a
+        full domain pass; record-native backends override it.
         """
         return np.full(np.shape(masks), float(self.domain_size))
-
-    def marginal_cost(self, mask: int) -> float:
-        """:meth:`marginal_costs` of one mask."""
-        return float(self.marginal_costs(np.array([int(mask)], dtype=np.int64))[0])
 
     def can_materialise(self, mask: int) -> bool:
         """Whether :meth:`marginal` would accept ``mask`` at all.
@@ -179,11 +166,6 @@ class CountSource(ABC):
         root marginal (one pass over the root's cells), elementwise over two
         aligned int64 arrays."""
         return np.ldexp(1.0, popcount_array(root_masks))
-
-    def derive_cost(self, root_mask: int, member_mask: int) -> float:
-        """:meth:`derive_costs` of one root and member."""
-        roots = np.array([int(root_mask)], dtype=np.int64)
-        return float(self.derive_costs(roots, np.array([int(member_mask)], dtype=np.int64))[0])
 
     def max_root_cells(self) -> Optional[int]:
         """Memory ceiling (in cells) on materialised batch roots, or ``None``.

@@ -80,15 +80,6 @@ PAIR_MAX_BITS = 2
 #: histogram (under 4 MiB at 62 bits), whatever the record count.
 PAIR_CHUNK_ROWS = 1 << 16
 
-#: Narrow members a worklist needs per bit they touch before the pair kernel
-#: serves them.  At 41k-100k rows the kernel costs 0.1-0.5 bincount passes
-#: per touched bit when the bits fill whole bytes and up to 3 when each bit
-#: has a byte of its own (a pass per byte and per byte pair); on a few
-#: thousand rows its ``2**16``-cell pair histograms cost more.  Fewer members
-#: are cheaper as separate bincounts: a lone 2-bit ``marginal()`` call over
-#: 41k rows takes 0.26 ms by bincount and 0.4-0.85 ms through the kernel.
-PAIR_MIN_MEMBERS_PER_BIT = 2
-
 #: Integers of magnitude below ``2**53`` are exact in float64.
 EXACT_INTEGER_LIMIT = float(1 << 53)
 
@@ -290,6 +281,60 @@ def pair_kernel_is_exact(weights: np.ndarray) -> bool:
     return magnitude < EXACT_INTEGER_LIMIT
 
 
+def pair_kernel_cost(rows: int, masks: np.ndarray) -> Optional[float]:
+    """Estimated cost of :func:`pair_marginals` over ``rows`` rows for an
+    array of distinct masks of at most two bits, or ``None`` when separate
+    projected bincounts of them would be cheaper.
+
+    The one rule for the pair kernel: :func:`worklist_marginals` takes it
+    exactly when this returns a cost, and the record backends'
+    ``marginal_costs`` price the members it serves at an even share of that
+    cost.  The kernel's work follows the touched bytes, not the members: one
+    weighted bincount per touched byte and per pair of touched bytes, each
+    row chunk, plus the ``2**(t_low + t_high)`` cells of every pair
+    histogram.  A least-squares fit of timings on a 2-vCPU x86 host (300 to
+    140k distinct 62-bit codes, one to eight touched bytes, within ~30%)
+    gives, in nanoseconds: 4.6 per row and byte, 2.5 per row and byte pair,
+    ~23k per histogram pass and chunk, 2.8 per pair-histogram cell and 79k
+    per call; one member's projected bincount takes 5 per row plus 17k per
+    call.  The estimate is in the unit of the bincount formula ``rows +
+    2**k`` (5 ns), which leaves the bincount's own 17 us per call out, so
+    it is scaled by ``rows / (rows + 3400)`` to compare fixed costs fairly.
+    Eight touched bits one per byte over 41k rows come to ~24 bincounts:
+    16 members take the bincount, all 36 take the kernel (5.6 ms measured
+    against 7.9 ms).
+    """
+    touched = int(np.bitwise_or.reduce(masks))
+    widths = [((touched >> shift) & 0xFF).bit_count() for shift in range(0, 64, 8)]
+    widths = [width for width in widths if width]
+    passes = len(widths) * (len(widths) + 1) // 2
+    spans = sum(1 << width for width in widths)
+    cells = (spans * spans - sum(1 << 2 * width for width in widths)) // 2
+    chunks = -(-rows // PAIR_CHUNK_ROWS)
+    cost = (
+        rows * (0.9 * len(widths) + 0.5 * (passes - len(widths)))
+        + chunks * (4500.0 * passes + 0.55 * cells)
+        + 16000.0
+    ) * (rows / (rows + 3400.0))
+    bincounts = float(np.sum(rows + np.ldexp(1.0, popcount_array(masks))))
+    return cost if cost < bincounts else None
+
+
+def with_pair_costs(
+    costs: np.ndarray, masks: np.ndarray, rows: int, *, scale: float = 1.0, extra: float = 0.0
+) -> np.ndarray:
+    """``costs`` of a worklist's ``masks`` with its members of at most two
+    bits repriced at an even share of ``scale`` pair kernels over ``rows``
+    rows (plus ``extra`` each), when :func:`pair_kernel_cost` says the
+    kernel serves them; the record backends' ``marginal_costs``."""
+    narrow = popcount_array(masks) <= PAIR_MAX_BITS
+    if narrow.any():
+        pair = pair_kernel_cost(rows, masks[narrow])
+        if pair is not None:
+            costs[narrow] = pair * scale / np.count_nonzero(narrow) + extra
+    return costs
+
+
 def _cross_block(joint: np.ndarray, low_bits: int, high_bits: int) -> np.ndarray:
     """``B_high^T H B_low`` for the joint histogram ``H`` of one byte pair.
 
@@ -437,10 +482,10 @@ def worklist_marginals(
 
     The kernel of every record backend (one call per worklist, or per shard
     of one).  Members of at most :data:`PAIR_MAX_BITS` bits are served
-    together by :func:`pair_marginals` when :func:`pair_kernel_is_exact`
-    holds and there are at least :data:`PAIR_MIN_MEMBERS_PER_BIT` of them
-    per bit they touch; every other member takes :func:`projected_marginals`
-    with its batch root.  Either way the values are the weighted bincounts,
+    together by :func:`pair_marginals` when :func:`pair_kernel_cost` prices
+    it below their separate bincounts and :func:`pair_kernel_is_exact`
+    holds; every other member takes :func:`projected_marginals` with its
+    batch root.  Either way the values are the weighted bincounts,
     bit for bit.  Traced runs count the members each kernel computed
     (``source.pair_members`` / ``source.bincount_members``, per call).
     """
@@ -450,13 +495,10 @@ def worklist_marginals(
         for member in members
         if int(member).bit_count() <= PAIR_MAX_BITS
     }
-    touched = 0
-    for member in narrow:
-        touched |= member
     out: Dict[int, np.ndarray] = {}
     if (
         narrow
-        and len(narrow) >= PAIR_MIN_MEMBERS_PER_BIT * hamming_weight(touched)
+        and pair_kernel_cost(codes.shape[0], np.fromiter(narrow, np.int64)) is not None
         and pair_kernel_is_exact(weights)
     ):
         out = pair_marginals(codes, weights, narrow)
@@ -728,22 +770,16 @@ class RecordSource(CountSource):
             self._codes, weights=self._weights, minlength=self.domain_size
         ).astype(np.float64, copy=False)
 
-    def prefers_batch_root(self, root_mask: int) -> bool:
-        """Refine from a shared root only while the root stays cheap.
-
-        A record-native marginal costs ``O(n + 2**k)``; materialising a root
-        wider than the record count and aggregating members from it would be
-        slower (and allocate more) than computing each member directly.
-        """
-        root_bits = hamming_weight(root_mask)
-        if root_bits > self._limit_bits:
-            return False
-        return (1 << root_bits) <= max(self.distinct_records, 1024)
-
     def marginal_costs(self, masks: np.ndarray) -> np.ndarray:
         """Projected-bincount cost: one pass over the ``n`` distinct codes
-        plus the ``2**k`` output cells — independent of ``2**d``."""
-        return float(self.distinct_records) + np.ldexp(1.0, popcount_array(masks))
+        plus the ``2**k`` output cells — independent of ``2**d``.  The
+        members of at most two bits share the pair kernel's estimate
+        (:func:`pair_kernel_cost`) evenly when the kernel would serve them."""
+        return with_pair_costs(
+            self.distinct_records + np.ldexp(1.0, popcount_array(masks)),
+            masks,
+            self.distinct_records,
+        )
 
     def can_materialise(self, mask: int) -> bool:
         return hamming_weight(mask) <= self._limit_bits

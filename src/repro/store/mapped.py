@@ -32,7 +32,6 @@ from repro.obs import runtime as _obs
 from repro.resilience import faults as _faults
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.shards.partition import resolve_worker_count
-from repro.shards.pool import check_executor_kind
 from repro.shards.sharded import ShardedRecordSource, Worklist
 from repro.sources.base import DENSE_LIMIT_BITS
 from repro.sources.record import (
@@ -43,7 +42,6 @@ from repro.sources.record import (
     worklist_marginals,
 )
 from repro.store.layout import release_pages
-from repro.utils.bits import hamming_weight
 
 #: Cost-model weight of streaming one mapped record entry from disk relative
 #: to touching it in memory.  Page-cache reads are cheap but not free, and a
@@ -88,9 +86,9 @@ class MappedRecordSource(ShardedRecordSource):
     already-partitioned read-only arrays (the on-disk layout) plus the
     manifest's totals, so opening a source never scans the data files.
 
-    Only thread executors are supported: process pools would pickle the
-    memmap arrays, materialising every shard in memory and defeating the
-    point of the format.
+    It always runs on a thread pool: a process pool would pickle the memmap
+    arrays, materialising every shard in memory and defeating the point of
+    the format.
     """
 
     backend = "mapped-record"
@@ -102,7 +100,6 @@ class MappedRecordSource(ShardedRecordSource):
         dimension: int,
         schema: Optional[object] = None,
         workers: Optional[int] = None,
-        executor: str = "thread",
         limit_bits: Optional[int] = None,
         marginal_cache_size: int = DEFAULT_MARGINAL_CACHE,
         marginal_cache_cells: Optional[int] = None,
@@ -121,11 +118,6 @@ class MappedRecordSource(ShardedRecordSource):
         shards = tuple((codes, weights) for codes, weights in shard_arrays)
         if not shards:
             raise DataError("a mapped source needs at least one shard")
-        if check_executor_kind(executor) != "thread":
-            raise DataError(
-                "mapped sources only run on thread executors: a process pool "
-                "would pickle (fully materialise) every memmap shard"
-            )
         self._d = d
         self._schema = schema
         self._limit_bits = DENSE_LIMIT_BITS if limit_bits is None else int(limit_bits)
@@ -202,12 +194,6 @@ class MappedRecordSource(ShardedRecordSource):
         parallel = max(1, min(self._workers, self.shards))
         io_records = self._distinct / parallel if parallel > 1 else self._distinct
         return super().marginal_costs(masks) + IO_COST_FACTOR * float(io_records)
-
-    def prefers_batch_root(self, root_mask: int) -> bool:
-        ceiling = self.max_root_cells()
-        if ceiling is not None and (1 << hamming_weight(root_mask)) > ceiling:
-            return False
-        return super().prefers_batch_root(root_mask)
 
     def max_root_cells(self) -> Optional[int]:
         """Memory ceiling on materialised batch roots under a budget.

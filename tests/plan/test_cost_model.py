@@ -15,11 +15,13 @@ import pytest
 from repro.core.engine import MarginalReleaseEngine
 from repro.domain import Dataset, Schema
 from repro.mechanisms import PrivacyBudget
+from repro.obs import tracing
 from repro.plan import BatchCost, Planner, batched_marginals, cost_marginal_batches
 from repro.plan.lattice import MarginalBatch
 from repro.queries import all_k_way
 from repro.shards import ShardedRecordSource
 from repro.sources import DenseCubeSource, RecordSource
+from repro.sources.record import pair_kernel_cost
 from repro.strategies import query_strategy
 
 D = 8
@@ -82,10 +84,10 @@ class TestDecisions:
         codes = np.arange(4000, dtype=np.int64)
         serial = RecordSource(codes, dimension=13)
         parallel = ShardedRecordSource(codes, dimension=13, shards=4, workers=4)
-        mask = 0b11
+        masks = np.array([0b11], dtype=np.int64)
         # Four workers split the record pass; the estimate must be cheaper
         # than serial once the per-task overhead is amortised.
-        assert parallel.marginal_cost(mask) < serial.marginal_cost(mask)
+        assert parallel.marginal_costs(masks)[0] < serial.marginal_costs(masks)[0]
 
     def test_chosen_cost_matches_the_decision(self):
         cost = BatchCost(
@@ -96,17 +98,26 @@ class TestDecisions:
 
 
 def per_member_costs(source, batches):
-    """The reference: every batch priced member by member through the
-    scalar hooks."""
+    """The reference: every batch priced member by member from the hooks'
+    per-mask estimates.  The estimates come from one call over all members
+    and one over all roots, as record backends price a worklist's narrow
+    members jointly (they share one pair-kernel estimate)."""
     ceiling = source.max_root_cells()
+    members = [member for batch in batches for member in batch.members]
+    direct = dict(zip(members, source.marginal_costs(np.array(members, dtype=np.int64))))
+    roots = [batch.root for batch in batches]
+    rooted = source.marginal_costs(np.array(roots, dtype=np.int64))
+
+    def derive(root, member):
+        pair = (np.array([root], dtype=np.int64), np.array([member], dtype=np.int64))
+        return float(source.derive_costs(*pair)[0])
+
     costs = []
-    for batch in batches:
-        root_cost = source.marginal_cost(batch.root) + sum(
-            source.derive_cost(batch.root, member)
-            for member in batch.members
-            if member != batch.root
+    for batch, root_cost in zip(batches, rooted.tolist()):
+        root_cost += sum(
+            derive(batch.root, member) for member in batch.members if member != batch.root
         )
-        direct_cost = float(sum(source.marginal_cost(member) for member in batch.members))
+        direct_cost = float(sum(direct[member] for member in batch.members))
         oversized = ceiling is not None and batch.root_cells > ceiling
         use_root = batch.is_trivial or (
             not oversized and source.can_materialise(batch.root) and root_cost <= direct_cost
@@ -148,13 +159,15 @@ class TestArrayPricing:
 
     def test_scalar_hooks_keep_their_formulas(self):
         codes = np.arange(1001, dtype=np.int64)
+        wide = np.array([0b111], dtype=np.int64)
         record = RecordSource(codes, dimension=12)
-        assert record.marginal_cost(0b111) == 1001.0 + 8.0
+        assert record.marginal_costs(wide).tolist() == [1001.0 + 8.0]
         sharded = ShardedRecordSource(codes, dimension=12, shards=3, workers=3)
         largest = max(sharded.shard_sizes)
         expected = max(float(largest), 1001 / 3) + 8.0 * 3 + 256.0
-        assert sharded.marginal_cost(0b111) == expected
-        assert sharded.derive_cost(0b1111, 0b11) == 16.0
+        assert sharded.marginal_costs(wide).tolist() == [expected]
+        derived = sharded.derive_costs(np.array([0b1111]), np.array([0b11]))
+        assert derived.tolist() == [16.0]
 
     def test_empty_plan(self):
         assert cost_marginal_batches(RecordSource(np.arange(4), dimension=D), ()) == ()
@@ -268,5 +281,68 @@ class TestDecisionsAreValueFree:
 
     def test_dense_default_cost_hooks(self):
         source = DenseCubeSource(np.ones(1 << 6), 6)
-        assert source.marginal_cost(0b11) == float(1 << 6)
-        assert source.derive_cost(0b1111, 0b11) == float(1 << 4)
+        assert source.marginal_costs(np.array([0b11])).tolist() == [float(1 << 6)]
+        derived = source.derive_costs(np.array([0b1111]), np.array([0b11]))
+        assert derived.tolist() == [float(1 << 4)]
+
+
+def wide_records(seed: int = 7, rows: int = 100_000, attributes: int = 32) -> Dataset:
+    """Records shaped like the ``release-wide`` benchmark input: a latent
+    class model of 8 classes over 32 binary attributes, ~83k distinct."""
+    schema = Schema.binary([f"a{index:02d}" for index in range(attributes)])
+    model = np.random.default_rng(1)
+    class_weights = model.dirichlet(np.full(8, 2.0))
+    p_one = model.dirichlet([0.5, 0.5], size=(8, attributes))[..., 1]
+    generator = np.random.default_rng(seed)
+    classes = generator.choice(8, size=rows, p=class_weights)
+    records = generator.random((rows, attributes)) < p_one[classes]
+    return Dataset(schema, records.astype(np.int64))
+
+
+class TestPairKernelPricing:
+    """The cost model prices the pair kernel with the kernel's own rule
+    (:func:`repro.sources.record.pair_kernel_cost`)."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        dataset = wide_records()
+        workload = all_k_way(dataset.schema, 2)
+        source = RecordSource(*dataset.encoded_counts(), dimension=32, marginal_cache_size=0)
+        plan = Planner(workload, query_strategy(workload)).plan(
+            PrivacyBudget.pure(1.0), source=source
+        )
+        return source, plan
+
+    def test_unsharded_wide_release_plans_no_batch_roots(self, wide):
+        # Materialising a 16-bit root to derive 64 pair members from it was
+        # twice as slow as reading them off the pair kernel.
+        _source, plan = wide
+        assert len(plan.batch_costs) == 3
+        assert not any(cost.use_root for cost in plan.batch_costs)
+
+    def test_wide_release_members_take_the_pair_kernel(self, wide):
+        source, plan = wide
+        with tracing() as recorder:
+            values = batched_marginals(source, plan.batches, 32, costs=plan.batch_costs)
+        counters = recorder.metrics.snapshot()["counters"]
+        assert len(values) == 496
+        assert counters["source.pair_members"] == 496
+        assert counters.get("source.bincount_members", 0) == 0
+
+    def test_narrow_members_share_the_kernel_estimate(self, wide):
+        source, _plan = wide
+        # Every 1- and 2-bit mask over four bits of one byte: one histogram.
+        narrow = np.array([0b1, 0b10, 0b100, 0b1000, 0b11, 0b101, 0b1001, 0b110, 0b1010, 0b1100])
+        pair = pair_kernel_cost(source.distinct_records, narrow)
+        assert pair is not None and pair < source.distinct_records * 2
+        costs = source.marginal_costs(np.concatenate((narrow, [0b111])))
+        assert costs[:10].tolist() == [pair / 10] * 10
+        assert costs[10] == source.distinct_records + 8.0
+
+    def test_members_the_kernel_declines_keep_the_bincount_price(self):
+        # One 2-bit member over a few hundred rows: the pair kernel's fixed
+        # cost exceeds one bincount, in the kernel and in the planner alike.
+        source = RecordSource(np.arange(300, dtype=np.int64), dimension=12)
+        masks = np.array([0b11], dtype=np.int64)
+        assert pair_kernel_cost(source.distinct_records, masks) is None
+        assert source.marginal_costs(masks).tolist() == [300.0 + 4.0]

@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.domain import ContingencyTable, Dataset, Schema
 from repro.exceptions import DataError, WorkloadError
 from repro.fourier import fwht
+from repro.plan.cost import cost_marginal_batches
+from repro.plan.lattice import MarginalBatch
 from repro.queries import all_k_way
 from repro.sources import (
     DENSE_LIMIT_BITS,
@@ -151,10 +153,17 @@ class TestRecordSource:
         assert source.marginal(0b1010).tolist() == [0.0] * 4
         assert source.dense_vector().dtype == np.float64
 
-    def test_prefers_batch_root_tracks_record_count(self):
+    def test_batch_roots_track_record_count(self):
+        # The cost model is the one judge of a record source's batch roots:
+        # 8 root cells are cheaper than a second pass over 100 records, 1M
+        # root cells far dearer.
         source = RecordSource(np.arange(100), dimension=40)
-        assert source.prefers_batch_root(0b111)  # 8 cells << 1024 floor
-        assert not source.prefers_batch_root((1 << 20) - 1)  # 1M cells >> 100 records
+        small = MarginalBatch(root=0b111, members=(0b11, 0b100))
+        wide = MarginalBatch(root=(1 << 20) - 1, members=(0b111, 0b111 << 17))
+        assert [cost.use_root for cost in cost_marginal_batches(source, [small, wide])] == [
+            True,
+            False,
+        ]
 
 
 class TestGuards:

@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import DataError
+from repro.obs import tracing
+from repro.plan import batched_marginals
 from repro.plan.cost import cost_marginal_batches
 from repro.plan.lattice import MarginalBatch
 from repro.sources import RecordSource
 from repro.store import open_source, write_source
-from repro.store.mapped import IO_COST_FACTOR, MappedRecordSource
+from repro.store.mapped import IO_COST_FACTOR
 
 
 @pytest.fixture(scope="module")
@@ -58,14 +59,6 @@ class TestMappedKernels:
 
 
 class TestMappedConstruction:
-    def test_rejects_process_executor(self, stored):
-        path, _ = stored
-        mapped = open_source(path)
-        with pytest.raises(DataError, match="process pool"):
-            MappedRecordSource(
-                mapped._shards, dimension=16, executor="process"
-            )
-
     def test_totals_come_from_the_manifest(self, stored):
         path, codes = stored
         mapped = open_source(path)
@@ -91,14 +84,15 @@ class TestMappedCosting:
         path, codes = stored
         mapped = open_source(path, workers=1)
         reference = RecordSource(codes, dimension=16)
-        mask = 0b111
-        assert mapped.marginal_cost(mask) == pytest.approx(
-            reference.marginal_cost(mask)
+        masks = np.array([0b111], dtype=np.int64)
+        assert mapped.marginal_costs(masks)[0] == pytest.approx(
+            reference.marginal_costs(masks)[0]
             + IO_COST_FACTOR * mapped.distinct_records,
             rel=0.3,
         )
         # Derivation stays in memory: no I/O term.
-        assert mapped.derive_cost(0b111, 0b011) < IO_COST_FACTOR * mapped.distinct_records
+        derived = mapped.derive_costs(masks, np.array([0b011], dtype=np.int64))
+        assert derived[0] < IO_COST_FACTOR * mapped.distinct_records
 
     def test_batch_costs_prefer_the_shared_root(self, stored):
         path, _ = stored
@@ -125,8 +119,13 @@ class TestMappedCosting:
         (vetoed,) = cost_marginal_batches(budgeted, [batch])
         (free,) = cost_marginal_batches(unbudgeted, [batch])
         assert free.use_root and not vetoed.use_root
-        assert not budgeted.prefers_batch_root(root)
-        assert unbudgeted.prefers_batch_root(root)
+        # A plan without costs is priced by the same model at execute time,
+        # so the veto holds there too.
+        for source, roots in ((budgeted, 0), (unbudgeted, 1)):
+            with tracing() as recorder:
+                batched_marginals(source, [batch], 20)
+            counters = recorder.metrics.snapshot()["counters"]
+            assert counters.get("plan.batches_root", 0) == roots
         # Trivial batches are exempt: the workload demands that vector anyway.
         trivial = MarginalBatch(root=root, members=(root,))
         (cost,) = cost_marginal_batches(budgeted, [trivial])
