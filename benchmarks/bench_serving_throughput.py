@@ -189,13 +189,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="smoke mode: fewer records, queries and repetitions, no results file",
+        help="smoke mode: fewer records and queries, no results file",
     )
     args = parser.parse_args(argv)
 
     records = args.records if args.records is not None else (600 if args.quick else 21_576)
     query_count = args.queries if args.queries is not None else (100 if args.quick else 400)
-    reps = args.reps if args.reps is not None else (1 if args.quick else 3)
+    # Best of 3 in --quick too: timed once, a single scheduling stall could
+    # decide the grouped-versus-serial comparison below.
+    reps = args.reps if args.reps is not None else 3
     batch_sizes = (50,) if args.quick else (25, 100, 400)
     worker_counts = (1, 2) if args.quick else (1, 2, 4)
 

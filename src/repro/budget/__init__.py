@@ -9,6 +9,7 @@ of Definition 3.1, or through a general convex solve as a reference.
 
 from repro.budget.grouping import (
     GroupSpec,
+    GroupTable,
     greedy_grouping,
     group_specs_from_matrices,
     satisfies_grouping_property,
@@ -22,6 +23,7 @@ from repro.budget.convex import solve_budget_problem
 
 __all__ = [
     "GroupSpec",
+    "GroupTable",
     "greedy_grouping",
     "group_specs_from_matrices",
     "satisfies_grouping_property",

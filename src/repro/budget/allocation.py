@@ -24,56 +24,104 @@ show the optimal allocation never does worse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Literal, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Dict, Literal, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.budget.grouping import GroupSpec
+from repro.budget.grouping import GroupSpec, GroupTable
 from repro.exceptions import BudgetError
 from repro.mechanisms.privacy import PrivacyBudget
 
 AllocationKind = Literal["optimal", "uniform"]
 
+#: What the allocation functions accept as groups.
+Groups = Union[GroupTable, Sequence[GroupSpec]]
 
-@dataclass(frozen=True)
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """``v**2`` of every entry, by Python's float power.
+
+    ``float.__pow__`` calls the C library's ``pow``, which rounds some
+    squares differently from numpy's power and from ``v * v``; the stored
+    variances and the privacy check have always used it.
+    """
+    return np.fromiter(map(pow, values.tolist(), repeat(2)), np.float64, values.size)
+
+
+def _fold(terms: np.ndarray) -> float:
+    """Left-to-right sum from 0.0 — the order of a Python ``for`` loop, not
+    numpy's pairwise ``sum``, so totals keep their last bits."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class NoiseAllocation:
     """A per-group noise-budget allocation for a grouped strategy.
 
-    Attributes
+    Parameters
     ----------
     groups:
-        The group summaries the allocation was computed for.
+        The group summaries the allocation was computed for: a
+        :class:`~repro.budget.grouping.GroupTable` or a sequence of
+        :class:`~repro.budget.grouping.GroupSpec` rows.
     group_budgets:
         Per-group budgets ``eta_r`` (one per group, aligned with ``groups``).
     budget:
         The total privacy budget the allocation satisfies.
     kind:
         ``"optimal"`` (non-uniform, Lemma 3.2) or ``"uniform"``.
+
+    The allocation keeps everything in one table (``table``, with its
+    ``budgets`` column set); ``groups`` and ``group_budgets`` are views of it.
+    Allocations are immutable, compare by groups, budgets and kind, and hash
+    by labels, budgets and kind.
     """
 
-    groups: Tuple[GroupSpec, ...]
-    group_budgets: Tuple[float, ...]
+    table: GroupTable
     budget: PrivacyBudget
     kind: AllocationKind
 
-    def __post_init__(self) -> None:
-        if len(self.groups) != len(self.group_budgets):
-            raise BudgetError(
-                f"got {len(self.group_budgets)} budgets for {len(self.groups)} groups"
+    def __init__(
+        self,
+        groups: Groups,
+        group_budgets,
+        budget: PrivacyBudget,
+        kind: AllocationKind,
+    ):
+        object.__setattr__(self, "table", _table(groups).replace(budgets=group_budgets))
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "kind", kind)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NoiseAllocation):
+            return NotImplemented
+        mine, theirs = self.table, other.table
+        return (
+            self.kind == other.kind
+            and self.budget == other.budget
+            and mine.labels == theirs.labels
+            and all(
+                np.array_equal(getattr(mine, column), getattr(theirs, column))
+                for column in ("sizes", "constants", "weights", "budgets")
             )
-        if any(eta < 0 for eta in self.group_budgets):
-            raise BudgetError("group budgets must be non-negative")
-        # Label -> budget lookup; strategies with many groups (e.g. one per
-        # Fourier coefficient) query budgets per group, so a dict keeps that
-        # linear instead of quadratic.
-        object.__setattr__(
-            self,
-            "_budget_by_label",
-            {group.label: eta for group, eta in zip(self.groups, self.group_budgets)},
         )
 
+    def __hash__(self) -> int:
+        return hash((self.kind, self.budget, self.table.labels, self.group_budgets))
+
     # ------------------------------------------------------------------ #
+    @property
+    def groups(self) -> Tuple[GroupSpec, ...]:
+        """The groups as :class:`~repro.budget.grouping.GroupSpec` views."""
+        return self.table.specs()
+
+    @property
+    def group_budgets(self) -> Tuple[float, ...]:
+        """Per-group budgets ``eta_r``, aligned with :attr:`groups`."""
+        return tuple(self.table.budgets.tolist())
+
     @property
     def is_pure(self) -> bool:
         """``True`` for a pure-DP (Laplace) allocation."""
@@ -86,45 +134,49 @@ class NoiseAllocation:
 
     def budget_for(self, label: str) -> float:
         """Budget ``eta_r`` of the group with the given label."""
-        lookup: Dict[str, float] = getattr(self, "_budget_by_label")
-        if label not in lookup:
-            raise BudgetError(f"no group labelled {label!r} in this allocation")
-        return lookup[label]
+        try:
+            position = self.table.position(label)
+        except KeyError:
+            raise BudgetError(f"no group labelled {label!r} in this allocation") from None
+        return float(self.table.budgets[position])
 
     def budgets_by_label(self) -> Dict[str, float]:
         """Mapping from group label to its budget."""
-        return dict(getattr(self, "_budget_by_label"))
+        return dict(zip(self.table.labels, self.table.budgets.tolist()))
 
     # ------------------------------------------------------------------ #
     # variance accounting
     # ------------------------------------------------------------------ #
     def noise_variance_for(self, label: str) -> float:
         """Per-row noise variance injected into the rows of a group."""
-        eta = self.budget_for(label)
-        return self._row_variance(eta)
+        return float(self._row_variances(np.array([self.budget_for(label)]))[0])
 
-    def _row_variance(self, eta: float) -> float:
-        if eta <= 0:
-            return math.inf
-        if self.is_pure:
-            return 2.0 / eta**2
-        return 2.0 * math.log(2.0 / self.budget.delta) / eta**2
+    def row_variances(self) -> np.ndarray:
+        """Per-row noise variance of every group, aligned with the table:
+        ``2 / eta**2`` (Laplace) or ``2 log(2/delta) / eta**2`` (Gaussian),
+        ``inf`` for a group without budget."""
+        return self._row_variances(self.table.budgets)
+
+    def _row_variances(self, budgets: np.ndarray) -> np.ndarray:
+        scale = 2.0 if self.is_pure else 2.0 * math.log(2.0 / self.budget.delta)
+        with np.errstate(divide="ignore"):
+            variances = scale / _squares(budgets)
+        variances[budgets <= 0] = math.inf
+        return variances
 
     def total_weighted_variance(self) -> float:
         """The objective value ``sum_r s_r * Var(row noise in group r)``.
 
         This is exactly ``a^T Var(y)`` for the recovery matrix the group
-        weights were computed from.
+        weights were computed from.  Groups of zero weight add nothing; a
+        weighted group without budget makes it infinite.
         """
-        total = 0.0
-        for group, eta in zip(self.groups, self.group_budgets):
-            if group.weight == 0.0:
-                continue
-            variance = self._row_variance(eta)
-            if math.isinf(variance):
-                return math.inf
-            total += group.weight * variance
-        return total
+        weights = self.table.weights
+        active = weights != 0.0
+        variances = self.row_variances()[active]
+        if np.isinf(variances).any():
+            return math.inf
+        return _fold(weights[active] * variances)
 
     # ------------------------------------------------------------------ #
     # serialization
@@ -134,19 +186,30 @@ class NoiseAllocation:
         return {
             "kind": self.kind,
             "budget": self.budget.to_dict(),
-            "groups": [group.to_dict() for group in self.groups],
-            "group_budgets": list(self.group_budgets),
+            "groups": self.table.spec_dicts(),
+            "group_budgets": self.table.budgets.tolist(),
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "NoiseAllocation":
-        """Rebuild an allocation from :meth:`to_dict` output."""
+        """Rebuild an allocation from :meth:`to_dict` output.
+
+        Non-finite numbers (which ``json`` parses from ``NaN``/``Infinity``)
+        are rejected like any other invalid group or budget.
+        """
         kind = str(payload["kind"])
         if kind not in ("optimal", "uniform"):
             raise BudgetError(f"unknown allocation kind {kind!r}")
+        groups = payload["groups"]
+        table = GroupTable(
+            [str(entry["label"]) for entry in groups],  # type: ignore[union-attr, index]
+            [int(entry["size"]) for entry in groups],  # type: ignore[union-attr, index]
+            [float(entry["constant"]) for entry in groups],  # type: ignore[union-attr, index]
+            [float(entry["weight"]) for entry in groups],  # type: ignore[union-attr, index]
+        )
         return cls(
-            groups=tuple(GroupSpec.from_dict(entry) for entry in payload["groups"]),  # type: ignore[union-attr]
-            group_budgets=tuple(float(eta) for eta in payload["group_budgets"]),  # type: ignore[union-attr]
+            groups=table,
+            group_budgets=[float(eta) for eta in payload["group_budgets"]],  # type: ignore[union-attr]
             budget=PrivacyBudget.from_dict(payload["budget"]),  # type: ignore[arg-type]
             kind=kind,  # type: ignore[arg-type]
         )
@@ -157,62 +220,59 @@ class NoiseAllocation:
         Pure DP: ``sum_r C_r * eta_r <= epsilon``;
         approximate DP: ``sqrt(sum_r C_r**2 * eta_r**2) <= epsilon``.
         """
+        spent = self.table.constants * self.table.budgets
         if self.is_pure:
-            spent = sum(g.constant * eta for g, eta in zip(self.groups, self.group_budgets))
+            total = _fold(spent)
         else:
-            spent = math.sqrt(
-                sum((g.constant * eta) ** 2 for g, eta in zip(self.groups, self.group_budgets))
-            )
-        return spent <= self.budget.epsilon * (1.0 + tol)
+            total = math.sqrt(_fold(_squares(spent)))
+        return total <= self.budget.epsilon * (1.0 + tol)
 
 
 # --------------------------------------------------------------------------- #
 # allocation algorithms
 # --------------------------------------------------------------------------- #
-def _validate_groups(groups: Sequence[GroupSpec]) -> Tuple[GroupSpec, ...]:
-    if not groups:
+def _table(groups: Groups) -> GroupTable:
+    return groups if isinstance(groups, GroupTable) else GroupTable.from_specs(groups)
+
+
+def _validate_groups(groups: Groups) -> GroupTable:
+    table = _table(groups)
+    if not len(table):
         raise BudgetError("cannot allocate a budget over an empty group collection")
-    return tuple(groups)
+    return table
 
 
-def optimal_allocation(
-    groups: Sequence[GroupSpec], budget: PrivacyBudget
-) -> NoiseAllocation:
+def optimal_allocation(groups: Groups, budget: PrivacyBudget) -> NoiseAllocation:
     """Closed-form optimal non-uniform allocation (Lemma 3.2 / Corollary 3.3).
 
     Groups whose recovery weight ``s_r`` is zero do not contribute to the
     output variance and receive a zero budget (their rows need not be
     measured at all); the remaining budget is spread optimally over the rest.
     """
-    group_tuple = _validate_groups(groups)
-    weights = np.array([g.weight for g in group_tuple], dtype=np.float64)
-    constants = np.array([g.constant for g in group_tuple], dtype=np.float64)
+    table = _validate_groups(groups)
+    weights = table.weights
+    constants = table.constants
     active = weights > 0
     if not np.any(active):
         raise BudgetError("every group has zero recovery weight; nothing to release")
 
-    etas = np.zeros(len(group_tuple), dtype=np.float64)
-    if budget.is_pure:
-        # eta_r proportional to (s_r / C_r)^(1/3), scaled to use the whole budget.
-        proportional = np.where(active, (weights / constants) ** (1.0 / 3.0), 0.0)
-        normaliser = float(np.dot(constants, proportional))
-        etas = budget.epsilon * proportional / normaliser
-    else:
-        # eta_r**2 proportional to sqrt(s_r) / C_r.
-        proportional_sq = np.where(active, np.sqrt(weights) / constants, 0.0)
-        normaliser = float(np.dot(constants**2, proportional_sq))
-        etas = np.sqrt(budget.epsilon**2 * proportional_sq / normaliser)
-    return NoiseAllocation(
-        groups=group_tuple,
-        group_budgets=tuple(float(e) for e in etas),
-        budget=budget,
-        kind="optimal",
-    )
+    # An overflow can only leave non-finite budgets, which the allocation
+    # rejects; the warning would add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if budget.is_pure:
+            # eta_r proportional to (s_r / C_r)^(1/3), scaled to use the whole budget.
+            proportional = np.where(active, (weights / constants) ** (1.0 / 3.0), 0.0)
+            normaliser = float(np.dot(constants, proportional))
+            etas = budget.epsilon * proportional / normaliser
+        else:
+            # eta_r**2 proportional to sqrt(s_r) / C_r.
+            proportional_sq = np.where(active, np.sqrt(weights) / constants, 0.0)
+            normaliser = float(np.dot(constants**2, proportional_sq))
+            etas = np.sqrt(budget.epsilon**2 * proportional_sq / normaliser)
+    return NoiseAllocation(groups=table, group_budgets=etas, budget=budget, kind="optimal")
 
 
-def uniform_allocation(
-    groups: Sequence[GroupSpec], budget: PrivacyBudget
-) -> NoiseAllocation:
+def uniform_allocation(groups: Groups, budget: PrivacyBudget) -> NoiseAllocation:
     """Uniform allocation: every strategy row receives the same budget.
 
     For pure DP the common row budget is ``epsilon / Delta_1`` with
@@ -221,22 +281,22 @@ def uniform_allocation(
     ``epsilon / Delta_2`` with ``Delta_2 = sqrt(sum_r C_r**2)``.  This
     reproduces the classic Laplace/Gaussian mechanism over the strategy.
     """
-    group_tuple = _validate_groups(groups)
-    constants = np.array([g.constant for g in group_tuple], dtype=np.float64)
+    table = _validate_groups(groups)
+    constants = table.constants
     if budget.is_pure:
         common = budget.epsilon / float(constants.sum())
     else:
         common = budget.epsilon / float(np.sqrt((constants**2).sum()))
     return NoiseAllocation(
-        groups=group_tuple,
-        group_budgets=tuple(common for _ in group_tuple),
+        groups=table,
+        group_budgets=np.full(len(table), common),
         budget=budget,
         kind="uniform",
     )
 
 
 def allocation_for(
-    groups: Sequence[GroupSpec],
+    groups: Groups,
     budget: PrivacyBudget,
     *,
     non_uniform: bool = True,
@@ -249,7 +309,7 @@ def allocation_for(
 
 
 def predicted_total_variance(
-    groups: Sequence[GroupSpec], budget: PrivacyBudget, *, non_uniform: bool = True
+    groups: Groups, budget: PrivacyBudget, *, non_uniform: bool = True
 ) -> float:
     """Analytic total weighted output variance for the chosen allocation.
 
@@ -260,9 +320,9 @@ def predicted_total_variance(
     Matches :meth:`NoiseAllocation.total_weighted_variance` exactly and is
     useful for planning without constructing the allocation.
     """
-    group_tuple = _validate_groups(groups)
-    weights = np.array([g.weight for g in group_tuple], dtype=np.float64)
-    constants = np.array([g.constant for g in group_tuple], dtype=np.float64)
+    table = _validate_groups(groups)
+    weights = table.weights
+    constants = table.constants
     epsilon = budget.epsilon
     if non_uniform:
         if budget.is_pure:

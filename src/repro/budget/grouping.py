@@ -12,25 +12,62 @@ magnitude ``C_r`` from each group, which collapses all privacy constraints
 into a single one and yields a closed-form optimal budget allocation
 (:mod:`repro.budget.allocation`).
 
-Strategies in :mod:`repro.strategies` describe their groups analytically via
-:class:`GroupSpec` (label, size, ``C_r`` and recovery weight ``s_r``); the
+Strategies in :mod:`repro.strategies` describe their groups analytically as
+a :class:`GroupTable` (per group: label, size, ``C_r`` and recovery weight
+``s_r``, as parallel arrays); :class:`GroupSpec` is one row of it.  The
 helpers here also derive group structures from explicit dense matrices, which
 is what the test suite uses to validate the analytic descriptions.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import GroupingError
+from repro.exceptions import BudgetError, GroupingError
+
+
+def check_group_columns(
+    labels: Sequence[str], sizes: np.ndarray, constants: np.ndarray, weights: np.ndarray
+) -> None:
+    """Validate group summaries column-wise, naming the first bad group.
+
+    ``NaN`` fails every comparison, so each test is true only for a valid
+    value; infinities are refused too, as they make the budgets ``NaN``.
+    """
+    failures = (
+        (sizes <= 0, "must contain at least one row"),
+        (~(constants > 0), "must have a positive column constant, got {c}"),
+        (weights < 0, "has a negative recovery weight {w}"),
+        (
+            ~(np.isfinite(constants) & np.isfinite(weights)),
+            "has a non-finite column constant or recovery weight ({c}, {w})",
+        ),
+    )
+    for flags, message in failures:
+        hits = np.flatnonzero(flags)
+        if hits.size:
+            row = hits[0]
+            detail = message.format(c=constants[row].item(), w=weights[row].item())
+            raise GroupingError(f"group {labels[row]!r} {detail}")
+
+
+def check_group_budgets(budgets: np.ndarray, groups: int) -> None:
+    """Validate per-group budgets ``eta_r`` (one per group, finite, >= 0)."""
+    if budgets.shape != (groups,):
+        raise BudgetError(f"got {budgets.size} budgets for {groups} groups")
+    if np.any(budgets < 0):
+        raise BudgetError("group budgets must be non-negative")
+    if not np.isfinite(budgets).all():
+        raise BudgetError("group budgets must be finite")
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Summary of one group of strategy rows.
+    """Summary of one group of strategy rows (a row of a :class:`GroupTable`).
 
     Parameters
     ----------
@@ -55,16 +92,12 @@ class GroupSpec:
     weight: float
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise GroupingError(f"group {self.label!r} must contain at least one row")
-        if self.constant <= 0:
-            raise GroupingError(
-                f"group {self.label!r} must have a positive column constant, got {self.constant}"
-            )
-        if self.weight < 0:
-            raise GroupingError(
-                f"group {self.label!r} has a negative recovery weight {self.weight}"
-            )
+        check_group_columns(
+            (self.label,),
+            np.array([self.size]),
+            np.array([self.constant], dtype=np.float64),
+            np.array([self.weight], dtype=np.float64),
+        )
 
     def to_dict(self) -> dict:
         """JSON-serialisable description (inverse of :meth:`from_dict`)."""
@@ -84,6 +117,122 @@ class GroupSpec:
             constant=float(payload["constant"]),
             weight=float(payload["weight"]),
         )
+
+
+def _column(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
+class GroupTable:
+    """The groups of a strategy as parallel columns, one row per group.
+
+    This is the one store of a release's groups, from the strategy through
+    the :class:`~repro.budget.allocation.NoiseAllocation` to the
+    :class:`~repro.plan.plan.ExecutionPlan`.  Every table has a label, a
+    size (rows), the constant ``C_r`` and the recovery weight ``s_r`` per
+    group; the planner adds the cuboid or coefficient ``masks``, the
+    allocation the ``budgets`` ``eta_r`` and the plan the sampler
+    ``noise_scales`` (via :meth:`replace`).  Group ``r``'s cells sit at
+    ``offsets[r]:offsets[r + 1]`` of a release's flat measurement vector.
+    :class:`GroupSpec` rows are views built on demand (:meth:`specs`).
+    Columns are read-only.
+    """
+
+    def __init__(
+        self,
+        labels: Sequence[str],
+        sizes,
+        constants,
+        weights,
+        *,
+        masks: Optional[Sequence[int]] = None,
+    ):
+        self.labels: Tuple[str, ...] = tuple(labels)
+        self.sizes = _column(sizes, np.int64)
+        self.constants = _column(constants, np.float64)
+        self.weights = _column(weights, np.float64)
+        if not self.sizes.shape == self.constants.shape == self.weights.shape == (
+            len(self.labels),
+        ):
+            raise GroupingError("every group column needs one entry per label")
+        check_group_columns(self.labels, self.sizes, self.constants, self.weights)
+        self.masks: Optional[Tuple[int, ...]] = None if masks is None else tuple(masks)
+        self.budgets: Optional[np.ndarray] = None
+        self.noise_scales: Optional[np.ndarray] = None
+        self._offsets: Optional[np.ndarray] = None
+        self._positions: Optional[Dict[str, int]] = None
+        self._specs: Optional[Tuple[GroupSpec, ...]] = None
+
+    @classmethod
+    def from_specs(cls, specs: Sequence[GroupSpec]) -> "GroupTable":
+        """The table of a sequence of :class:`GroupSpec` rows."""
+        rows = [(spec.label, spec.size, spec.constant, spec.weight) for spec in specs]
+        return cls(*zip(*rows)) if rows else cls((), (), (), ())
+
+    def replace(self, **columns) -> "GroupTable":
+        """A copy with the optional columns ``masks``, ``budgets`` or
+        ``noise_scales`` set; every other column is shared, not copied."""
+        table = copy.copy(self)
+        if "masks" in columns:
+            masks = columns.pop("masks")
+            table.masks = None if masks is None else tuple(masks)
+        if "budgets" in columns:
+            table.budgets = _column(columns.pop("budgets"), np.float64)
+            check_group_budgets(table.budgets, len(self))
+        if "noise_scales" in columns:
+            table.noise_scales = _column(columns.pop("noise_scales"), np.float64)
+        if columns:
+            raise TypeError(f"GroupTable has no optional columns {sorted(columns)}")
+        return table
+
+    # ------------------------------------------------------------------ #
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __repr__(self) -> str:
+        return f"GroupTable(labels={self.labels!r})"
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Cell offsets: group ``r`` spans ``offsets[r]:offsets[r + 1]``."""
+        if self._offsets is None:
+            self._offsets = _column(np.concatenate(([0], np.cumsum(self.sizes))), np.int64)
+        return self._offsets
+
+    @property
+    def total_cells(self) -> int:
+        """Cells of all groups together (the flat measurement length)."""
+        return int(self.offsets[-1])
+
+    def position(self, label: str) -> int:
+        """Row of the group with ``label`` (``KeyError`` when absent)."""
+        if self._positions is None:
+            self._positions = {label: row for row, label in enumerate(self.labels)}
+        return self._positions[label]
+
+    def mask_column(self) -> Tuple[Optional[int], ...]:
+        """``masks``, or ``None`` per group for a table without masks."""
+        return self.masks if self.masks is not None else (None,) * len(self)
+
+    def _rows(self):
+        return zip(
+            self.labels, self.sizes.tolist(), self.constants.tolist(), self.weights.tolist()
+        )
+
+    def specs(self) -> Tuple[GroupSpec, ...]:
+        """The rows as :class:`GroupSpec` views (built once, on demand)."""
+        if self._specs is None:
+            self._specs = tuple(GroupSpec(*row) for row in self._rows())
+        return self._specs
+
+    def spec_dicts(self) -> List[Dict[str, object]]:
+        """:meth:`GroupSpec.to_dict` of every row, without building the rows."""
+        return [
+            {"label": label, "size": size, "constant": constant, "weight": weight}
+            for label, size, constant, weight in self._rows()
+        ]
 
 
 # --------------------------------------------------------------------------- #

@@ -52,16 +52,18 @@ class ReleaseResult:
     elapsed_seconds: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if len(self.marginals) != len(self.workload):
-            raise WorkloadError(
-                f"expected {len(self.workload)} marginals, got {len(self.marginals)}"
-            )
-        for query, marginal in zip(self.workload.queries, self.marginals):
-            if np.asarray(marginal).shape != (query.size,):
-                raise WorkloadError(
-                    f"marginal for query {query.mask:#x} has shape "
-                    f"{np.asarray(marginal).shape}, expected ({query.size},)"
-                )
+        workload = self.workload
+        if len(self.marginals) != len(workload):
+            raise WorkloadError(f"expected {len(workload)} marginals, got {len(self.marginals)}")
+        # One comparison of every shape; the scan names the first bad query.
+        shapes = list(map(np.shape, self.marginals))
+        if shapes != [(size,) for size in workload.sizes.tolist()]:
+            for query, shape in zip(workload.queries, shapes):
+                if shape != (query.size,):
+                    raise WorkloadError(
+                        f"marginal for query {query.mask:#x} has shape "
+                        f"{shape}, expected ({query.size},)"
+                    )
 
     # ------------------------------------------------------------------ #
     @property

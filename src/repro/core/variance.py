@@ -39,9 +39,7 @@ def per_query_variances(strategy: Strategy, allocation: NoiseAllocation) -> np.n
         row_variance = allocation.noise_variance_for(_IDENTITY_LABEL)
         # Every query cell aggregates 2**(d - k) base cells; summed over the
         # 2**k cells of the marginal this gives 2**d * row variance.
-        return np.array([
-            (2.0**d) * row_variance for _query in workload.queries
-        ])
+        return np.full(len(workload), (2.0**d) * row_variance)
 
     if isinstance(strategy, MarginalSetStrategy):
         assignment = strategy.assignment

@@ -110,6 +110,7 @@ class WorkloadFourierIndex:
         # the flat cell layout (so batched per-group results can be scattered
         # back into workload order without per-query Python work).
         offsets = np.concatenate(([0], np.cumsum(self._sizes)))
+        self._bounds: List[int] = offsets.tolist()
         groups: Dict[int, List[int]] = {}
         for position, order in enumerate(self._orders.tolist()):
             groups.setdefault(order, []).append(position)
@@ -191,11 +192,12 @@ class WorkloadFourierIndex:
 
     # ------------------------------------------------------------------ #
     def consistency_normal_equations(
-        self, estimates: Sequence[np.ndarray], weights: np.ndarray
+        self, flat: np.ndarray, weights: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Accumulate the diagonal normal equations of the L2 projection.
 
-        Stacks the (validated) noisy marginals by order, batch-transforms each
+        ``flat`` holds the (validated) noisy marginals back to back, in
+        workload order.  Stacks them by order, batch-transforms each
         stack with one butterfly, scales by the per-query block weights
         ``w_q * 2**(d - k_q)`` and scatters everything into global
         ``(numerator, denominator)`` arrays with a single ordered
@@ -206,28 +208,40 @@ class WorkloadFourierIndex:
         Returns ``(numerator, denominator, covered)``; ``covered`` marks the
         coefficients touched by at least one positive-weight query.
         """
-        d = self._d
-        coefficient_scale = 2.0 ** (-d / 2.0)
-        block_weights = np.asarray(weights, dtype=np.float64) * np.exp2(
-            np.float64(d) - self._orders.astype(np.float64)
-        )
+        coefficient_scale = 2.0 ** (-self._d / 2.0)
+        block_weights = self._block_weights(weights)
         values = np.empty(self._total_cells, dtype=np.float64)
         for order, positions in self._order_groups.items():
-            stacked = np.stack([estimates[i] for i in positions.tolist()])
+            cells = self._group_flat_positions[order]
+            stacked = flat[cells].reshape(positions.size, 1 << order)
             fwht_inplace(stacked)
             contributions = (stacked * coefficient_scale) * block_weights[positions][
                 :, None
             ]
-            values[self._group_flat_positions[order]] = contributions.ravel()
-        weight_fill = np.repeat(block_weights, self._sizes)
+            values[cells] = contributions.ravel()
 
-        m = self.coefficient_count
-        numerator = np.zeros(m, dtype=np.float64)
-        denominator = np.zeros(m, dtype=np.float64)
+        numerator = np.zeros(self.coefficient_count, dtype=np.float64)
         np.add.at(numerator, self._flat_slots, values)
-        np.add.at(denominator, self._flat_slots, weight_fill)
+        denominator = self.coefficient_weights(weights)
         covered = denominator > 0.0
         return numerator, denominator, covered
+
+    def _block_weights(self, weights) -> np.ndarray:
+        return np.asarray(weights, dtype=np.float64) * np.exp2(
+            np.float64(self._d) - self._orders.astype(np.float64)
+        )
+
+    def coefficient_weights(self, weights) -> np.ndarray:
+        """``sum_q w_q * 2**(d - k_q)`` over the queries containing each
+        coefficient, accumulated in workload order.
+
+        It is the Fourier strategy's recovery weight ``s_beta`` and the
+        denominator of the L2 consistency normal equations.
+        """
+        weight_fill = np.repeat(self._block_weights(weights), self._sizes)
+        totals = np.zeros(self.coefficient_count, dtype=np.float64)
+        np.add.at(totals, self._flat_slots, weight_fill)
+        return totals
 
     def marginals_from_coefficients(
         self,
@@ -236,25 +250,37 @@ class WorkloadFourierIndex:
     ) -> List[np.ndarray]:
         """Reconstruct every workload marginal from the global coefficients.
 
+        The list is in workload order, of views into one flat vector
+        (:meth:`flat_marginals_from_coefficients`).
+        """
+        flat = self.flat_marginals_from_coefficients(coefficient_array, covered)
+        return [flat[start:end] for start, end in zip(self._bounds, self._bounds[1:])]
+
+    def flat_marginals_from_coefficients(
+        self,
+        coefficient_array: np.ndarray,
+        covered: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Every workload marginal from the global coefficients, back to back.
+
         One gather + batched inverse butterfly + scale per order group
-        (Theorem 4.1(2)); the returned list is in workload order and bitwise
-        identical to a per-query small inverse butterfly of the dominated
-        coefficients scaled by ``2**(d/2 - ||alpha||)``.  ``covered`` (when given) marks which coefficients were fitted;
-        a query needing an unfitted coefficient raises ``KeyError`` like the
-        scalar reconstruction.
+        (Theorem 4.1(2)); bitwise identical to a per-query small inverse
+        butterfly of the dominated coefficients scaled by
+        ``2**(d/2 - ||alpha||)``.  ``covered`` (when given) marks which
+        coefficients were fitted; a query needing an unfitted coefficient
+        raises ``KeyError`` like the scalar reconstruction.
         """
         coefficient_array = np.asarray(coefficient_array, dtype=np.float64)
         if covered is not None and not covered[self._flat_slots].all():
             self._raise_missing(covered)
         d = self._d
-        out: List[Optional[np.ndarray]] = [None] * len(self._query_masks)
+        out = np.empty(self._total_cells, dtype=np.float64)
         for order, positions in self._order_groups.items():
             gathered = coefficient_array[self._group_slots[order]]
             fwht_inplace(gathered)
             gathered *= 2.0 ** (d / 2.0 - order)
-            for row, position in enumerate(positions.tolist()):
-                out[position] = gathered[row]
-        return out  # type: ignore[return-value]
+            out[self._group_flat_positions[order]] = gathered.ravel()
+        return out
 
     def _raise_missing(self, covered: np.ndarray) -> None:
         for position, mask in enumerate(self._query_masks):

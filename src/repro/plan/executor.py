@@ -3,8 +3,10 @@
 The :class:`Executor` replaces the per-strategy measurement loops with two
 batched passes:
 
-1. **exact values** — one kernel per plan, not one pass per query, all
-   pulled from a :class:`~repro.sources.base.CountSource` (the dense
+1. **exact values** — one kernel per plan, not one pass per query, into
+   one flat vector laid out by the plan's group table (group ``r`` at
+   ``table.offsets[r]:offsets[r + 1]``), all pulled from a
+   :class:`~repro.sources.base.CountSource` (the dense
    ``2**d`` vector or the record-native ``(codes, weights)`` arrays — the
    kernels are backend-agnostic):
 
@@ -21,24 +23,23 @@ batched passes:
      :class:`~repro.exceptions.DataError` instead of allocating ``2**d``).
 
 2. **noise** — a single vectorized Laplace/Gaussian draw over *all* measured
-   plan cells, with a per-cell scale vector.  NumPy generators consume the
+   plan cells, with a per-cell scale vector, added to the flat vector in
+   place.  NumPy generators consume the
    random stream per sample, so this draw is bitwise-identical to the
    historical sequential per-group draws (the plan's ``seed_policy``):
    seeded releases reproduce the pre-plan pipeline exactly.  The exact
    values are integer counts (exact in float64 regardless of summation
    order), so seeded releases are also bitwise-identical *across backends*.
 
-The executor returns a normal :class:`~repro.strategies.base.Measurement`
-(assembled by the strategy via
-:meth:`~repro.strategies.base.Strategy.build_measurement`), so the
-strategy's own :meth:`~repro.strategies.base.Strategy.estimate` and all
-downstream recovery code run unchanged.
+The executor returns a flat :class:`~repro.strategies.base.Measurement`,
+which the strategy's own :meth:`~repro.strategies.base.Strategy.estimate`
+reads by slices; :meth:`~repro.strategies.base.Strategy.measure` runs this
+executor too.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -232,7 +233,7 @@ class Executor:
         with _obs.trace_span(
             "executor.measure",
             kind=plan.kind,
-            groups=len(plan.groups),
+            groups=len(plan.table),
             cells=plan.measured_cells,
         ):
             measurement = self._measure_impl(plan, x, rng, noiseless, checkpoint, resume)
@@ -286,12 +287,9 @@ class Executor:
             return self._measure_matrix(plan, source.dense_vector(), generator, noiseless)
         if checkpoint is not None:
             checkpoint.bind(plan_fingerprint(plan, source), resume=resume)
-        exacts = self._exact_group_values(plan, source, checkpoint)
-        noisy = self._apply_noise(plan, exacts, generator, noiseless)
-        values = {
-            group.label: array for group, array in zip(plan.groups, noisy)
-        }
-        return strategy.build_measurement(values, plan.allocation)
+        flat = self._exact_group_values(plan, source, checkpoint)
+        self._apply_noise(plan, flat, generator, noiseless)
+        return Measurement(strategy_name=strategy.name, allocation=plan.allocation, flat=flat)
 
     # ------------------------------------------------------------------ #
     # privacy-budget ledger
@@ -302,45 +300,33 @@ class Executor:
         The charge's epsilon is the group's contribution ``C_r * eta_r`` to
         the release constraint; the ledger composes them per mechanism
         (linearly for Laplace, in quadrature for Gaussian), so the scope
-        total reproduces the requested release budget.  Plans without group
-        descriptions (``"custom"`` kernels) fall back to the allocation's
-        group specs — same labels, same budgets.
+        total reproduces the requested release budget.
         """
         recorder = _obs.recorder()
         if recorder is None:
             return
         scope = recorder.ledger.new_scope()
-        allocation = plan.allocation
-        delta = 0.0 if plan.is_pure else float(allocation.budget.delta)
-        if plan.groups:
-            entries = [
-                (
-                    group.label,
-                    group.constant,
-                    group.budget,
-                    group.size,
-                    (f"{group.mask:#x}",) if group.mask is not None else (),
-                )
-                for group in plan.groups
-                if group.measured
-            ]
-        else:
-            entries = [
-                (spec.label, spec.constant, eta, spec.size, ())
-                for spec, eta in zip(allocation.groups, allocation.group_budgets)
-                if eta > 0
-            ]
-        for label, constant, eta, cells, cuboids in entries:
+        table = plan.table
+        delta = 0.0 if plan.is_pure else float(plan.allocation.budget.delta)
+        for label, mask, constant, eta, cells in zip(
+            table.labels,
+            table.mask_column(),
+            table.constants.tolist(),
+            table.budgets.tolist(),
+            table.sizes.tolist(),
+        ):
+            if eta <= 0.0:
+                continue
             recorder.ledger.charge(
                 BudgetCharge(
                     scope=scope,
                     group=label,
-                    epsilon=float(constant) * float(eta),
+                    epsilon=constant * eta,
                     delta=delta,
-                    sensitivity=float(constant),
+                    sensitivity=constant,
                     mechanism=plan.mechanism,
-                    cuboids=cuboids,
-                    cells=int(cells),
+                    cuboids=(f"{mask:#x}",) if mask is not None else (),
+                    cells=cells,
                 )
             )
 
@@ -352,19 +338,21 @@ class Executor:
         plan: ExecutionPlan,
         source: CountSource,
         checkpoint: Optional[ReleaseCheckpoint] = None,
-    ) -> List[np.ndarray]:
-        d = self._strategy.dimension
+    ) -> np.ndarray:
+        """The exact cells of every group in one vector, in group order."""
+        masks = plan.table.masks
         if plan.kind == "marginal":
             by_mask = batched_marginals(
-                source, plan.batches, d, costs=plan.batch_costs, checkpoint=checkpoint
+                source,
+                plan.batches,
+                self._strategy.dimension,
+                costs=plan.batch_costs,
+                checkpoint=checkpoint,
             )
-            return [by_mask[group.mask] for group in plan.groups]
+            return np.concatenate([by_mask[mask] for mask in masks], dtype=np.float64)
         if plan.kind == "fourier":
             coefficients = source.fourier_coefficients_for_masks(plan.workload.masks)
-            stacked = np.array(
-                [coefficients[group.mask] for group in plan.groups], dtype=np.float64
-            ).reshape(-1, 1)
-            return list(stacked)
+            return np.array([coefficients[mask] for mask in masks], dtype=np.float64)
         raise PlanError(f"unknown plan kernel {plan.kind!r}")
 
     # ------------------------------------------------------------------ #
@@ -373,34 +361,27 @@ class Executor:
     def _apply_noise(
         self,
         plan: ExecutionPlan,
-        exacts: List[np.ndarray],
+        flat: np.ndarray,
         generator: np.random.Generator,
         noiseless: bool,
-    ) -> List[np.ndarray]:
-        """Noisy group values: one draw and one add over the concatenated
-        exacts, returned as per-group views of that one array (NaN for
-        groups without budget)."""
-        sizes = [exact.shape[0] for exact in exacts]
-        measured = np.repeat(
-            np.array([group.measured for group in plan.groups], dtype=bool), sizes
-        )
-        flat = np.concatenate(exacts, dtype=np.float64) if exacts else np.empty(0)
-        total = int(np.count_nonzero(measured))
-        if total and not noiseless:
-            scales = np.repeat(
-                [group.noise_scale or 0.0 for group in plan.groups], sizes
-            )[measured]
-            with _obs.trace_span(
-                "executor.noise", mechanism=plan.mechanism, cells=total
-            ):
-                if plan.is_pure:
-                    draw = laplace_noise(scales, total, generator)
-                else:
-                    draw = gaussian_noise(scales, total, generator)
-            flat[measured] += draw
-        flat[~measured] = np.nan
-        bounds = [0, *accumulate(sizes)]
-        return [flat[start:end] for start, end in zip(bounds, bounds[1:])]
+    ) -> None:
+        """Add the noise to the flat exact cells in place: one draw and one
+        add over the measured cells, NaN for groups without budget."""
+        sizes = plan.table.sizes
+        measured = plan.measured
+        cells = np.repeat(measured, sizes)
+        scales = np.repeat(plan.table.noise_scales[measured], sizes[measured])
+        flat[~cells] = np.nan
+        if not scales.size or noiseless:
+            return
+        with _obs.trace_span(
+            "executor.noise", mechanism=plan.mechanism, cells=scales.size
+        ):
+            if plan.is_pure:
+                draw = laplace_noise(scales, scales.size, generator)
+            else:
+                draw = gaussian_noise(scales, scales.size, generator)
+        flat[cells] += draw
 
     # ------------------------------------------------------------------ #
     # dense-matrix kernel
@@ -431,4 +412,4 @@ class Executor:
         else:
             sigma = gaussian_sigma_for_budget(budgets, plan.allocation.budget.delta)
             rows = exact + gaussian_noise(sigma, exact.shape[0], generator)
-        return strategy.build_measurement({"rows": rows}, plan.allocation)
+        return Measurement(strategy_name=strategy.name, allocation=plan.allocation, flat=rows)

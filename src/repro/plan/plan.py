@@ -10,13 +10,13 @@ depends on the count vector, so one plan can execute many releases.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.budget.allocation import NoiseAllocation
+from repro.budget.grouping import GroupTable
 from repro.plan.cost import BatchCost
 from repro.plan.lattice import MarginalBatch
 from repro.queries.workload import MarginalWorkload
@@ -34,7 +34,8 @@ SINGLE_STREAM_SEED_POLICY = (
 
 @dataclass(frozen=True)
 class PlanGroup:
-    """One measured group of the plan (one strategy group).
+    """One measured group of the plan (one strategy group): a row of the
+    plan's :class:`~repro.budget.grouping.GroupTable`, built on demand.
 
     Attributes
     ----------
@@ -72,14 +73,6 @@ class PlanGroup:
         """``True`` when the group receives a positive budget."""
         return self.noise_scale is not None
 
-    def row_variance(self, *, is_pure: bool, delta: Optional[float] = None) -> float:
-        """Per-row noise variance injected into this group's cells."""
-        if not self.measured:
-            return math.inf
-        if is_pure:
-            return 2.0 / self.budget**2
-        return 2.0 * math.log(2.0 / delta) / self.budget**2
-
 
 @dataclass(frozen=True, eq=False)
 class ExecutionPlan:
@@ -102,9 +95,15 @@ class ExecutionPlan:
         ``measure()``).
     allocation:
         The per-group noise allocation, including the privacy budget.
-    groups:
-        One :class:`PlanGroup` per strategy group, in allocation order — the
-        order the executor draws noise in.
+    table:
+        The groups as columns, in allocation order — the order the executor
+        draws noise in: the allocation's table plus the ``masks`` of
+        mask-indexed kernels and the sampler ``noise_scales`` (the Laplace
+        scale ``1 / eta`` for pure DP, the Gaussian ``sigma`` otherwise; 0
+        for a group without budget, whose cells are released as NaN).
+        Group ``r``'s cells sit at ``table.offsets[r]:offsets[r + 1]`` of
+        the flat exact and noisy vectors.  :attr:`groups` views it as
+        :class:`PlanGroup` rows.
     batches:
         Grouped subset-sum batches of the marginal kernel (empty for the
         other kernels).
@@ -135,7 +134,7 @@ class ExecutionPlan:
     strategy_name: str
     kind: str
     allocation: NoiseAllocation
-    groups: Tuple[PlanGroup, ...]
+    table: GroupTable
     batches: Tuple[MarginalBatch, ...]
     query_weights: np.ndarray
     row_budgets: Optional[np.ndarray] = None
@@ -155,32 +154,55 @@ class ExecutionPlan:
         return self.allocation.mechanism
 
     @property
+    def groups(self) -> Tuple[PlanGroup, ...]:
+        """One :class:`PlanGroup` view per row of :attr:`table`."""
+        table = self.table
+        return tuple(
+            PlanGroup(label, mask, size, constant, weight, eta, scale if eta > 0.0 else None)
+            for label, mask, size, constant, weight, eta, scale in zip(
+                table.labels,
+                table.mask_column(),
+                table.sizes.tolist(),
+                table.constants.tolist(),
+                table.weights.tolist(),
+                table.budgets.tolist(),
+                table.noise_scales.tolist(),
+            )
+        )
+
+    @property
+    def measured(self) -> np.ndarray:
+        """Per group: does it receive a positive budget?"""
+        return self.table.budgets > 0.0
+
+    @property
     def total_cells(self) -> int:
         """Total number of strategy cells described by the plan."""
-        return sum(group.size for group in self.groups)
+        return self.table.total_cells
 
     @property
     def measured_cells(self) -> int:
         """Number of cells that actually receive noise (positive budget)."""
-        return sum(group.size for group in self.groups if group.measured)
+        return int(self.table.sizes[self.measured].sum())
 
     @property
     def full_passes(self) -> int:
         """Full ``O(2**d)`` passes the marginal kernel performs (0 otherwise)."""
         return len(self.batches)
 
+    def group_variance_array(self) -> np.ndarray:
+        """:meth:`group_variances` as an array aligned with :attr:`table`."""
+        with np.errstate(invalid="ignore"):
+            return self.table.weights * self.allocation.row_variances()
+
     def group_variances(self) -> Dict[str, float]:
         """Expected contribution of each group to the weighted output variance.
 
-        The contribution of group ``r`` is ``s_r * Var(row noise in group r)``;
-        summing over groups gives :meth:`expected_total_variance`.
+        The contribution of group ``r`` is ``s_r * Var(row noise in group r)``
+        (NaN for a group of zero weight and no budget); summing over groups
+        gives :meth:`expected_total_variance`.
         """
-        delta = None if self.is_pure else self.allocation.budget.delta
-        return {
-            group.label: group.weight
-            * group.row_variance(is_pure=self.is_pure, delta=delta)
-            for group in self.groups
-        }
+        return dict(zip(self.table.labels, self.group_variance_array().tolist()))
 
     def expected_total_variance(self) -> float:
         """The objective value ``sum_r s_r * Var(row noise in group r)``.
@@ -210,7 +232,7 @@ class ExecutionPlan:
             f"seed policy       : {self.seed_policy}",
             "",
             "stage 1 — plan    : "
-            f"{len(self.groups)} groups, {self.total_cells} strategy cells "
+            f"{len(self.table)} groups, {self.total_cells} strategy cells "
             f"({self.measured_cells} measured)",
         ]
         if self.kind == "marginal":
@@ -260,18 +282,23 @@ class ExecutionPlan:
         )
         lines.append("")
         lines.append("per-group expected variance (weight x row variance):")
-        variances = self.group_variances()
-        shown = list(self.groups[:max_groups])
-        for group in shown:
-            eta = f"{group.budget:.4g}" if group.measured else "unmeasured"
+        table = self.table
+        variances = self.group_variance_array()
+        shown = min(len(table), max_groups)
+        for label, size, eta, variance in zip(
+            table.labels[:shown],
+            table.sizes[:shown].tolist(),
+            table.budgets[:shown].tolist(),
+            variances[:shown].tolist(),
+        ):
+            eta_text = f"{eta:.4g}" if eta > 0.0 else "unmeasured"
             lines.append(
-                f"  {group.label:<24} cells = {group.size:<8} eta = {eta:<12} "
-                f"variance = {variances[group.label]:.4g}"
+                f"  {label:<24} cells = {size:<8} eta = {eta_text:<12} "
+                f"variance = {variance:.4g}"
             )
-        if len(self.groups) > len(shown):
-            rest = sum(variances[g.label] for g in self.groups[len(shown):])
+        if len(table) > shown:
+            rest = float(np.cumsum(variances[shown:])[-1])
             lines.append(
-                f"  ... {len(self.groups) - len(shown)} more groups "
-                f"(variance {rest:.4g})"
+                f"  ... {len(table) - shown} more groups (variance {rest:.4g})"
             )
         return "\n".join(lines)

@@ -1,19 +1,18 @@
 """Build an :class:`~repro.plan.plan.ExecutionPlan` from workload + strategy + budget.
 
 The :class:`Planner` resolves everything that does not depend on the data:
-it asks the strategy for its group structure (via the
-:meth:`~repro.strategies.base.Strategy.group_specs` /
-:meth:`~repro.strategies.base.Strategy.query_masks` /
-:meth:`~repro.strategies.base.Strategy.sensitivity_profile` contract),
-computes the noise allocation for the requested budget, converts each group
-budget into a concrete sampler parameter, and — for mask-indexed strategies —
+it asks the strategy for its group table (via the
+:meth:`~repro.strategies.base.Strategy.group_table` /
+:meth:`~repro.strategies.base.Strategy.query_masks` contract), computes the
+noise allocation for the requested budget, converts every group budget into
+a sampler parameter in one vectorised call, and — for mask-indexed strategies —
 packs the measured cuboids into the shared-ancestor batches the executor's
 grouped subset-sum kernel runs.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from repro.mechanisms.noise import gaussian_sigma_for_budget, laplace_scale_for_
 from repro.mechanisms.privacy import PrivacyBudget
 from repro.plan.cost import cost_marginal_batches
 from repro.plan.lattice import MarginalBatch, plan_marginal_batches
-from repro.plan.plan import ExecutionPlan, PlanGroup
+from repro.plan.plan import ExecutionPlan
 from repro.queries.workload import MarginalWorkload
 from repro.sources.base import CountSource
 from repro.strategies.base import Strategy
@@ -62,23 +61,22 @@ class Planner:
         self._workload = workload
         self._strategy = strategy
         self._non_uniform = non_uniform
-        # Unit weights reuse the strategy's cached specs, which the
+        # Unit weights reuse the strategy's cached table, which the
         # executor's allocation check reads too.
-        self._group_specs = (
-            strategy.default_group_specs()
+        self._groups = (
+            strategy.default_group_table()
             if query_weights is None
-            else strategy.group_specs(query_weights)
+            else strategy.group_table(query_weights)
         )
         self._query_weights = np.array(
             strategy.resolve_query_weights(query_weights), dtype=np.float64
         )
         self._query_weights.setflags(write=False)
         self._kind = strategy.measurement_kind
-        self._masks: Tuple[int, ...] = ()
         self._batches: Tuple[MarginalBatch, ...] = ()
         if self._kind in ("marginal", "fourier"):
             try:
-                self._masks = tuple(strategy.query_masks())
+                masks = strategy.query_masks()
             except WorkloadError:
                 # A legacy / third-party Strategy subclass that implements the
                 # original ABC (group_specs / measure / estimate) but not the
@@ -86,14 +84,16 @@ class Planner:
                 # delegating measurement to the strategy itself.
                 self._kind = "custom"
             else:
-                if len(self._masks) != len(self._group_specs):
+                if len(masks) != len(self._groups):
                     raise WorkloadError(
-                        f"strategy {strategy.name!r} reports {len(self._masks)} query "
-                        f"masks for {len(self._group_specs)} groups"
+                        f"strategy {strategy.name!r} reports {len(masks)} query "
+                        f"masks for {len(self._groups)} groups"
                     )
+                if self._groups.masks != tuple(masks):
+                    self._groups = self._groups.replace(masks=masks)
         if self._kind == "marginal":
             self._batches = plan_marginal_batches(
-                self._masks, workload.dimension, max_bits=max_batch_bits
+                self._groups.masks, workload.dimension, max_bits=max_batch_bits
             )
 
     # ------------------------------------------------------------------ #
@@ -120,7 +120,7 @@ class Planner:
     def allocation(self, budget: PrivacyBudget) -> NoiseAllocation:
         """The noise allocation a plan for ``budget`` would use."""
         return allocation_for(
-            self._group_specs, budget, non_uniform=self._non_uniform
+            self._groups, budget, non_uniform=self._non_uniform
         )
 
     # ------------------------------------------------------------------ #
@@ -137,10 +137,15 @@ class Planner:
         fully data-independent and the executor prices the batches against
         its source at run time, with the same cost model.
         """
-        allocation = self.allocation(budget)
+        return self.plan_allocation(self.allocation(budget), source=source)
+
+    def plan_allocation(
+        self, allocation: NoiseAllocation, *, source: Optional[CountSource] = None
+    ) -> ExecutionPlan:
+        """:meth:`plan` for an allocation computed beforehand."""
         # Every positive group budget converted in one call; the division is
         # elementwise, so each scale equals the scalar helper's bit for bit.
-        budgets = np.array(allocation.group_budgets, dtype=np.float64)
+        budgets = allocation.table.budgets
         positive = budgets > 0.0
         scales = np.zeros_like(budgets)
         if allocation.is_pure:
@@ -148,21 +153,6 @@ class Planner:
         else:
             scales[positive] = gaussian_sigma_for_budget(
                 budgets[positive], allocation.budget.delta
-            )
-        groups: List[PlanGroup] = []
-        for position, (spec, eta, scale) in enumerate(
-            zip(allocation.groups, allocation.group_budgets, scales.tolist())
-        ):
-            groups.append(
-                PlanGroup(
-                    label=spec.label,
-                    mask=self._masks[position] if self._masks else None,
-                    size=spec.size,
-                    constant=spec.constant,
-                    weight=spec.weight,
-                    budget=float(eta),
-                    noise_scale=scale if eta > 0.0 else None,
-                )
             )
         row_budgets = None
         if self._kind == "matrix":
@@ -176,7 +166,7 @@ class Planner:
             strategy_name=self._strategy.name,
             kind=self._kind,
             allocation=allocation,
-            groups=tuple(groups),
+            table=allocation.table.replace(masks=self._groups.masks, noise_scales=scales),
             batches=self._batches,
             query_weights=self._query_weights,
             row_budgets=row_budgets,

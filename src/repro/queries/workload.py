@@ -66,6 +66,7 @@ class MarginalWorkload:
         self._schema = schema
         self._queries: Tuple[MarginalQuery, ...] = tuple(query_list)
         self._name = name or "workload"
+        self._offsets: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # basic container behaviour
@@ -126,7 +127,23 @@ class MarginalWorkload:
     @property
     def total_cells(self) -> int:
         """Total number of released cells ``K = sum_i 2**||alpha_i||``."""
-        return sum(query.size for query in self._queries)
+        return int(self.offsets[-1])
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Cell offsets of the flat answer layout: query ``i`` spans
+        ``offsets[i]:offsets[i + 1]`` (read-only, computed once)."""
+        if self._offsets is None:
+            offsets = np.zeros(len(self._queries) + 1, dtype=np.int64)
+            np.cumsum([query.size for query in self._queries], out=offsets[1:])
+            offsets.setflags(write=False)
+            self._offsets = offsets
+        return self._offsets
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Cells ``2**||alpha_i||`` of every query, in order."""
+        return np.diff(self.offsets)
 
     @property
     def max_order(self) -> int:
@@ -168,12 +185,13 @@ class MarginalWorkload:
                 f"expected a flat answer vector of length {self.total_cells}, "
                 f"got shape {flat.shape}"
             )
-        answers = []
-        offset = 0
-        for query in self._queries:
-            answers.append(flat[offset : offset + query.size].copy())
-            offset += query.size
-        return answers
+        return [answer.copy() for answer in self.split_views(flat)]
+
+    def split_views(self, flat: np.ndarray) -> List[np.ndarray]:
+        """Per-query views of a flat vector of length ``total_cells`` (no
+        copies, no validation; see :meth:`split_flat` for both)."""
+        bounds = self.offsets.tolist()
+        return [flat[start:end] for start, end in zip(bounds, bounds[1:])]
 
     # ------------------------------------------------------------------ #
     # composition

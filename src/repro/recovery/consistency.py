@@ -74,31 +74,32 @@ class ConsistencyResult:
     norm: NormOrder
 
 
-def _validate_estimates(
+def _flat_estimates(
     workload: MarginalWorkload, estimates: Sequence[np.ndarray]
-) -> List[np.ndarray]:
+) -> np.ndarray:
+    """The noisy marginals back to back, checked for count, shape and
+    finiteness at once; the per-query scans only run on the error path, to
+    name the offending query."""
     if len(estimates) != len(workload):
         raise ConsistencyError(
             f"expected {len(workload)} noisy marginals, got {len(estimates)}"
         )
-    validated = []
-    for query, estimate in zip(workload.queries, estimates):
-        vector = np.asarray(estimate, dtype=np.float64)
-        if vector.shape != (query.size,):
-            raise ConsistencyError(
-                f"noisy marginal for query {query.mask:#x} must have {query.size} cells, "
-                f"got shape {vector.shape}"
-            )
-        validated.append(vector)
-    # One finiteness check over the concatenated cells; the per-query scan
-    # only runs on the error path to name the offending query.
-    if not np.isfinite(np.concatenate(validated)).all():
-        for query, vector in zip(workload.queries, validated):
-            if not np.isfinite(vector).all():
+    shapes = list(map(np.shape, estimates))
+    if shapes != [(size,) for size in workload.sizes.tolist()]:
+        for query, shape in zip(workload.queries, shapes):
+            if shape != (query.size,):
+                raise ConsistencyError(
+                    f"noisy marginal for query {query.mask:#x} must have {query.size} "
+                    f"cells, got shape {shape}"
+                )
+    flat = np.concatenate(estimates, dtype=np.float64)
+    if not np.isfinite(flat).all():
+        for query, estimate in zip(workload.queries, estimates):
+            if not np.isfinite(estimate).all():
                 raise ConsistencyError(
                     f"noisy marginal for query {query.mask:#x} contains non-finite values"
                 )
-    return validated
+    return flat
 
 
 def _resolve_query_weights(
@@ -116,14 +117,8 @@ def _resolve_query_weights(
     return weights
 
 
-def _residual(
-    workload: MarginalWorkload,
-    consistent: Sequence[np.ndarray],
-    noisy: Sequence[np.ndarray],
-    norm: NormOrder,
-) -> float:
-    difference = np.concatenate([np.asarray(a, dtype=np.float64) for a in consistent])
-    difference -= np.concatenate([np.asarray(b, dtype=np.float64) for b in noisy])
+def _residual(consistent: np.ndarray, noisy: np.ndarray, norm: NormOrder) -> float:
+    difference = consistent - noisy
     if norm == 2:
         return float(np.linalg.norm(difference, 2))
     if norm == 1:
@@ -153,24 +148,22 @@ def fourier_consistency(
     numerator/denominator arrays → gather + batched inverse butterfly for the
     consistent marginals.
     """
-    estimates = _validate_estimates(workload, noisy_marginals)
+    noisy = _flat_estimates(workload, noisy_marginals)
     weights = _resolve_query_weights(workload, query_weights)
     with _obs.trace_span(
-        "consistency.fourier", queries=len(estimates), dimension=workload.dimension
+        "consistency.fourier", queries=len(workload), dimension=workload.dimension
     ):
         index = WorkloadFourierIndex.for_workload(workload)
 
         numerator, denominator, covered = index.consistency_normal_equations(
-            estimates, weights
+            noisy, weights
         )
         coefficient_array = np.zeros(index.coefficient_count, dtype=np.float64)
         np.divide(numerator, denominator, out=coefficient_array, where=covered)
-        marginals = index.marginals_from_coefficients(coefficient_array, covered)
-        residual = _residual(workload, marginals, estimates, 2)
+        flat = index.flat_marginals_from_coefficients(coefficient_array, covered)
+        residual = _residual(flat, noisy, 2)
         coefficients = index.coefficients_dict(coefficient_array, covered)
-    return ConsistencyResult(
-        marginals=marginals, coefficients=coefficients, residual=residual, norm=2
-    )
+    return ConsistencyResult(workload.split_views(flat), coefficients, residual, 2)
 
 
 # --------------------------------------------------------------------------- #
@@ -194,8 +187,7 @@ def fourier_consistency_lp(
     if norm not in (1, "inf", np.inf, float("inf")):
         raise ConsistencyError(f"norm must be 1 or 'inf' for the LP projection, got {norm!r}")
     is_inf = norm != 1
-    estimates = _validate_estimates(workload, noisy_marginals)
-    target = np.concatenate(estimates)
+    target = _flat_estimates(workload, noisy_marginals)
 
     recovery = fourier_recovery_matrix(workload)
     total_cells, coefficient_count = recovery.shape
@@ -230,14 +222,10 @@ def fourier_consistency_lp(
     index = WorkloadFourierIndex.for_workload(workload)
     coefficient_array = np.asarray(result.x[:coefficient_count], dtype=np.float64)
     coefficients = index.coefficients_dict(coefficient_array)
-    marginals = index.marginals_from_coefficients(coefficient_array)
-    residual = _residual(workload, marginals, estimates, "inf" if is_inf else 1)
-    return ConsistencyResult(
-        marginals=marginals,
-        coefficients=coefficients,
-        residual=residual,
-        norm="inf" if is_inf else 1,
-    )
+    flat = index.flat_marginals_from_coefficients(coefficient_array)
+    norm = "inf" if is_inf else 1
+    residual = _residual(flat, target, norm)
+    return ConsistencyResult(workload.split_views(flat), coefficients, residual, norm)
 
 
 def make_consistent(

@@ -72,6 +72,7 @@ def plan_fingerprint(plan: "ExecutionPlan", source: "CountSource") -> str:
     and shard counts are deliberately *excluded* — they never change values,
     so a release may resume on a different machine shape.
     """
+    table = plan.table
     payload = {
         "format": CHECKPOINT_FORMAT,
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -83,8 +84,10 @@ def plan_fingerprint(plan: "ExecutionPlan", source: "CountSource") -> str:
         "epsilon": repr(float(plan.allocation.budget.epsilon)),
         "delta": repr(float(plan.allocation.budget.delta)),
         "groups": [
-            [group.label, group.mask, group.size, repr(float(group.budget))]
-            for group in plan.groups
+            [label, mask, size, repr(budget)]
+            for label, mask, size, budget in zip(
+                table.labels, table.mask_column(), table.sizes.tolist(), table.budgets.tolist()
+            )
         ],
         "batches": [
             [int(batch.root), [int(member) for member in batch.members]]

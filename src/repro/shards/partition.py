@@ -26,8 +26,10 @@ from repro.exceptions import DataError
 
 #: Auto-shard threshold: datasets with at least this many records (rows) are
 #: sharded automatically when the backend resolves to record-native and the
-#: machine has more than one core.  Below it, pool dispatch overhead eats the
-#: parallel win.
+#: machine has more than one core.  Thread shards overlap their kernels only
+#: in part (1.3x on two shards of 2 vCPUs, see :mod:`repro.shards.pool`), so
+#: above it sharding need not pay either; pricing it is ROADMAP item 1,
+#: step 2.
 AUTO_SHARD_RECORDS = 100_000
 
 #: Cap on the automatically chosen shard count.  More shards than cores adds

@@ -8,13 +8,15 @@ parallel dispatch, and shuts everything down at interpreter exit.
 
 Pool choice:
 
-* ``"thread"`` (default) — zero serialisation cost; NumPy's ufunc inner
-  loops release the GIL, so the projection passes of the shard kernel run
-  genuinely in parallel.
-* ``"process"`` — full parallelism for every pass (including the weighted
-  bincounts, which hold the GIL) at the price of pickling each shard's
-  arrays per dispatch.  Opt-in for workloads where the bincount share of the
-  kernel dominates.
+* ``"thread"`` (default) — zero serialisation cost, but only partial
+  parallelism: the pair kernel is ~150 short numpy calls per shard
+  (bincounts, lookups, ufuncs), and two thread shards overlap them only in
+  part.  Measured on 2 vCPUs (numpy 2.4): two ``release-wide`` shards of
+  41k distinct codes run their kernels 1.3x faster side by side than one
+  after the other, not 2x (the primitives alone: 1.4-1.8x).  Whether
+  sharding pays there at all is ROADMAP item 1, step 2.
+* ``"process"`` — full parallelism for every pass at the price of pickling
+  each shard's arrays per dispatch.  Opt-in.
 
 Failure handling: a process pool whose worker dies (OOM-killed, segfaulted)
 is permanently broken — every queued and future submission fails with

@@ -61,6 +61,7 @@ from repro.sources.record import (
     DEFAULT_MARGINAL_CACHE,
     MarginalMemo,
     RecordSource,
+    StackedMarginals,
     memoised_marginals,
     with_pair_costs,
     worklist_marginals,
@@ -79,7 +80,7 @@ Worklist = Sequence[Tuple[int, Sequence[int]]]
 
 def _shard_kernel(
     shard: int, codes: np.ndarray, weights: np.ndarray, work: Worklist
-) -> Dict[int, np.ndarray]:
+) -> StackedMarginals:
     """:func:`~repro.sources.record.worklist_marginals` of one shard under
     the uniform ``(shard, codes, weights, work)`` dispatch signature.
 
@@ -329,15 +330,14 @@ class ShardedRecordSource(CountSource):
 
     @staticmethod
     def _accumulate(
-        totals: Dict[int, np.ndarray], result: Dict[int, np.ndarray]
-    ) -> None:
-        """Fold one shard's marginals into the running totals in place."""
-        for mask, value in result.items():
-            held = totals.get(mask)
-            if held is None:
-                totals[mask] = value
-            else:
-                np.add(held, value, out=held)
+        totals: Optional[StackedMarginals], result: StackedMarginals
+    ) -> StackedMarginals:
+        """Fold one shard's marginals into the running totals (in place after
+        the first shard): one add over the stacked narrow members."""
+        if totals is None:
+            return result
+        totals.add(result)
+        return totals
 
     def _reduce_shards(self, work: Worklist) -> Dict[int, np.ndarray]:
         """Stream the shard kernels into per-mask running totals.
@@ -362,7 +362,7 @@ class ShardedRecordSource(CountSource):
           :class:`~repro.exceptions.ShardError` naming the ``workers=`` /
           ``kind=`` configuration.
         """
-        totals: Dict[int, np.ndarray] = {}
+        totals: Optional[StackedMarginals] = None
         kernel = self._shard_kernel_callable()
         policy = self._retry
         if _obs.ENABLED:
@@ -392,14 +392,14 @@ class ShardedRecordSource(CountSource):
                             shard=index,
                             attempts=policy.max_attempts,
                         ) from error
-                    self._accumulate(totals, result)
-                return totals
-            self._reduce_shards_pooled(totals, kernel, work)
-        return totals
+                    totals = self._accumulate(totals, result)
+            else:
+                totals = self._reduce_shards_pooled(kernel, work)
+        return {} if totals is None else totals
 
     def _collect_shard(
         self, state: "_DispatchState", kernel, work: Worklist, index: int, future: "Future"
-    ) -> Dict[int, np.ndarray]:
+    ) -> StackedMarginals:
         """Resolve one in-flight shard, retrying transients and rebuilding a
         broken pool (once) with the whole pending window replayed."""
         policy = self._retry
@@ -463,9 +463,8 @@ class ShardedRecordSource(CountSource):
                 shard=index,
             ) from error
 
-    def _reduce_shards_pooled(
-        self, totals: Dict[int, np.ndarray], kernel, work: Worklist
-    ) -> None:
+    def _reduce_shards_pooled(self, kernel, work: Worklist) -> Optional[StackedMarginals]:
+        totals: Optional[StackedMarginals] = None
         state = _DispatchState(pool=get_pool(self._executor_kind, self._workers))
         window = self._workers + 1
         for index in range(len(self._shards)):
@@ -474,14 +473,15 @@ class ShardedRecordSource(CountSource):
             )
             if len(state.pending) >= window:
                 held_index, future = state.pending.popleft()
-                self._accumulate(
+                totals = self._accumulate(
                     totals, self._collect_shard(state, kernel, work, held_index, future)
                 )
         while state.pending:
             held_index, future = state.pending.popleft()
-            self._accumulate(
+            totals = self._accumulate(
                 totals, self._collect_shard(state, kernel, work, held_index, future)
             )
+        return totals
 
     def marginal(self, mask: int) -> np.ndarray:
         return self.marginals_for_batches([(mask, (mask,))])[mask]

@@ -27,6 +27,7 @@ take the projected bincount.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Mapping
 from itertools import chain, combinations
 from typing import (
     TYPE_CHECKING,
@@ -360,8 +361,9 @@ def _cross_block(joint: np.ndarray, low_bits: int, high_bits: int) -> np.ndarray
 
 def pair_marginals(
     codes: np.ndarray, weights: np.ndarray, masks: Iterable[int]
-) -> Dict[int, np.ndarray]:
-    """Marginals of masks of at most two bits from weighted byte histograms.
+) -> "StackedMarginals":
+    """Marginals of masks of at most two bits from weighted byte histograms,
+    stacked back to back in the order of ``masks`` (first occurrences).
 
     Every such marginal is read off ``G = P^T diag(w) P`` over the 0/1 bit
     planes ``P`` of the bits the masks touch, and ``G`` is read off weighted
@@ -394,14 +396,16 @@ def pair_marginals(
     of ``G`` sums at least one histogram cell, and every marginal cell leads
     with ``W`` (``numpy.sum`` starts at ``+0.0``) or an entry of ``G``.
     """
-    mask_list = [int(mask) for mask in masks]
+    mask_list = list(dict.fromkeys(int(mask) for mask in masks))
     total = float(weights.sum())
     touched = 0
     for mask in mask_list:
         touched |= mask
     bits = bit_indices(touched)
+    out = StackedMarginals(mask_list)
     if not bits:
-        return {mask: np.array([total]) for mask in mask_list}
+        out.flat[:] = total
+        return out
     groups: Dict[int, List[int]] = {}
     for bit in bits:
         groups.setdefault(bit >> 3, []).append(bit & 7)
@@ -446,38 +450,82 @@ def pair_marginals(
     second = np.searchsorted(bit_values, higher)
     low_count, high_count = gram.diagonal()[first], gram.diagonal()[second]
     both = gram[second, first]
-    out: Dict[int, np.ndarray] = {}
-    if 0 in mask_list:
-        out[0] = np.array([total])
+    starts = np.array(out.starts[:-1], dtype=np.int64)
+    out.flat[starts[mask_array == 0]] = total
     singles = (lower != 0) & (higher == 0)
-    out.update(
-        zip(
-            mask_array[singles].tolist(),
-            np.stack((total - low_count[singles], low_count[singles]), axis=1),
-        )
-    )
+    cells = starts[singles][:, None] + np.arange(2)
+    out.flat[cells] = np.stack((total - low_count[singles], low_count[singles]), axis=1)
     doubles = higher != 0
     low_count, high_count, both = low_count[doubles], high_count[doubles], both[doubles]
-    out.update(
-        zip(
-            mask_array[doubles].tolist(),
-            np.stack(
-                (
-                    total - low_count - high_count + both,
-                    low_count - both,
-                    high_count - both,
-                    both,
-                ),
-                axis=1,
-            ),
-        )
+    cells = starts[doubles][:, None] + np.arange(4)
+    out.flat[cells] = np.stack(
+        (
+            total - low_count - high_count + both,
+            low_count - both,
+            high_count - both,
+            both,
+        ),
+        axis=1,
     )
     return out
 
 
+class StackedMarginals(Mapping):
+    """A mapping ``{mask: marginal}`` whose narrow members share one vector.
+
+    The marginals of ``masks`` (distinct, of at most :data:`PAIR_MAX_BITS`
+    bits) sit back to back in ``flat``, in the order of ``masks``, member
+    ``i`` at ``flat[starts[i]:starts[i + 1]]``; wider marginals are kept
+    apart in ``wide``.  Lookups return views.  The record kernels return
+    this layout so that shard results with the same worklist add with one
+    :meth:`add` instead of one ``np.add`` per mask.
+    """
+
+    def __init__(self, masks: Sequence[int]):
+        self.masks: Tuple[int, ...] = tuple(masks)
+        self.starts: List[int] = [0]
+        for mask in self.masks:
+            self.starts.append(self.starts[-1] + (1 << mask.bit_count()))
+        self._index = {mask: position for position, mask in enumerate(self.masks)}
+        self.flat = np.empty(self.starts[-1])
+        self.wide: Dict[int, np.ndarray] = {}
+
+    def __getitem__(self, mask: int) -> np.ndarray:
+        position = self._index.get(mask)
+        if position is None:
+            return self.wide[mask]
+        return self.flat[self.starts[position] : self.starts[position + 1]]
+
+    def __setitem__(self, mask: int, value: np.ndarray) -> None:
+        if mask in self._index:
+            self[mask][:] = value
+        else:
+            self.wide[mask] = value
+
+    def __iter__(self):
+        return chain(self.masks, self.wide)
+
+    def __len__(self) -> int:
+        return len(self.masks) + len(self.wide)
+
+    def items(self) -> List[Tuple[int, np.ndarray]]:  # type: ignore[override]
+        """Every ``(mask, marginal)`` pair, slicing ``flat`` once."""
+        flat, starts = self.flat, self.starts
+        return [
+            *((mask, flat[start:end]) for mask, start, end in zip(self.masks, starts, starts[1:])),
+            *self.wide.items(),
+        ]
+
+    def add(self, other: "StackedMarginals") -> None:
+        """Add another result over the same worklist in place, cell by cell."""
+        np.add(self.flat, other.flat, out=self.flat)
+        for mask, value in self.wide.items():
+            np.add(value, other.wide[mask], out=value)
+
+
 def worklist_marginals(
     codes: np.ndarray, weights: np.ndarray, work: Sequence[Tuple[int, Sequence[int]]]
-) -> Dict[int, np.ndarray]:
+) -> StackedMarginals:
     """Every member marginal of a ``(root, members)`` worklist over one code array.
 
     The kernel of every record backend (one call per worklist, or per shard
@@ -486,27 +534,30 @@ def worklist_marginals(
     it below their separate bincounts and :func:`pair_kernel_is_exact`
     holds; every other member takes :func:`projected_marginals` with its
     batch root.  Either way the values are the weighted bincounts,
-    bit for bit.  Traced runs count the members each kernel computed
-    (``source.pair_members`` / ``source.bincount_members``, per call).
+    bit for bit, and the narrow members are stacked in worklist order
+    (:class:`StackedMarginals`), whichever kernel computed them.  Traced
+    runs count the members each kernel computed (``source.pair_members`` /
+    ``source.bincount_members``, per call).
     """
-    narrow = {
-        int(member)
-        for _root, members in work
-        for member in members
-        if int(member).bit_count() <= PAIR_MAX_BITS
-    }
-    out: Dict[int, np.ndarray] = {}
+    members = dict.fromkeys(int(member) for _root, group in work for member in group)
+    narrow = [member for member in members if member.bit_count() <= PAIR_MAX_BITS]
     if (
         narrow
-        and pair_kernel_cost(codes.shape[0], np.fromiter(narrow, np.int64)) is not None
+        and pair_kernel_cost(codes.shape[0], np.array(narrow, dtype=np.int64)) is not None
         and pair_kernel_is_exact(weights)
     ):
         out = pair_marginals(codes, weights, narrow)
-    paired = len(out)
-    for root, members in work:
-        pending = [member for member in members if member not in out]
+        done = set(narrow)
+    else:
+        out = StackedMarginals(narrow)
+        done = set()
+    paired = len(done)
+    for root, group in work:
+        pending = [member for member in group if member not in done]
         if pending:
-            out.update(projected_marginals(codes, weights, root, pending))
+            for member, value in projected_marginals(codes, weights, root, pending).items():
+                out[member] = value
+            done.update(pending)
     if _obs.ENABLED:
         _obs.counter_inc("source.pair_members", paired)
         _obs.counter_inc("source.bincount_members", len(out) - paired)
@@ -550,7 +601,7 @@ def memoised_marginals(
             pending.difference_update(needed)
             work.append((root, needed))
     if work:
-        computed = compute(work)
+        computed = dict(compute(work).items())
         values.update(computed)
         for member in memo.put_many(list(computed.items())):
             values[member] = computed[member].copy()

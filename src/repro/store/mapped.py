@@ -23,7 +23,7 @@ property `bench_oocore.py` pins.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from repro.sources.record import (
     DEFAULT_MARGINAL_CACHE_CELLS,
     MAX_RECORD_BITS,
     MarginalMemo,
+    StackedMarginals,
     worklist_marginals,
 )
 from repro.store.layout import release_pages
@@ -53,7 +54,7 @@ IO_COST_FACTOR = 4.0
 
 def _mapped_shard_kernel(
     shard: int, codes: np.ndarray, weights: np.ndarray, work: Worklist
-) -> Dict[int, np.ndarray]:
+) -> StackedMarginals:
     """One shard's batched marginals, then drop the shard's mapped pages.
 
     The release keeps RSS flat across a multi-shard scan: pages stream in,

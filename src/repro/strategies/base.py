@@ -4,8 +4,8 @@ A :class:`Strategy` encapsulates the first two steps of the paper's
 framework for a fixed marginal workload ``Q``:
 
 1. it describes the *group structure* of its strategy matrix ``S``
-   (Definition 3.1) through :meth:`Strategy.group_specs`, which is all the
-   budget allocator needs;
+   (Definition 3.1) as a :class:`~repro.budget.grouping.GroupTable`
+   (:meth:`Strategy.group_table`), which is all the budget allocator needs;
 2. it *measures* the strategy queries on a count vector with the noise
    dictated by a :class:`~repro.budget.allocation.NoiseAllocation`
    (:meth:`Strategy.measure`);
@@ -18,19 +18,17 @@ framework for a fixed marginal workload ``Q``:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.budget.allocation import NoiseAllocation
-from repro.budget.grouping import GroupSpec
+from repro.budget.grouping import GroupSpec, GroupTable
 from repro.exceptions import BudgetError, WorkloadError
 from repro.queries.workload import MarginalWorkload
 from repro.utils.rng import RngLike
 
 
-@dataclass
 class Measurement:
     """Noisy answers to a strategy's queries.
 
@@ -40,29 +38,62 @@ class Measurement:
         Name of the strategy that produced the measurement.
     allocation:
         The noise allocation used, including the privacy budget.
-    values:
-        Noisy strategy answers keyed by group label.  The meaning of each
-        array is strategy-specific (marginal cells, Fourier coefficients,
-        base counts, ...); only the owning strategy interprets them.
-    metadata:
-        Free-form extras a strategy may need at reconstruction time.
+    flat:
+        The noisy cells of every group in one vector, in group order: group
+        ``r`` sits at ``allocation.table.offsets[r]:offsets[r + 1]`` (the
+        matrix kernel keeps its strategy rows in matrix order).  The meaning
+        of the cells is strategy-specific (marginal cells, Fourier
+        coefficients, base counts, ...); only the owning strategy interprets
+        them.  A measurement may instead be given as ``values`` keyed by
+        group label, which are concatenated once in group order.
     """
 
-    strategy_name: str
-    allocation: NoiseAllocation
-    values: Dict[str, np.ndarray]
-    metadata: Dict[str, Any] = field(default_factory=dict)
+    def __init__(
+        self,
+        strategy_name: str,
+        allocation: NoiseAllocation,
+        values: Optional[Dict[str, np.ndarray]] = None,
+        *,
+        flat: Optional[np.ndarray] = None,
+    ):
+        table = allocation.table
+        if flat is None:
+            missing = [label for label in table.labels if label not in (values or {})]
+            if missing:
+                raise BudgetError(f"measurement has no group labelled {missing[0]!r}")
+            flat = np.concatenate([values[label] for label in table.labels], dtype=np.float64)
+        if flat.shape != (table.total_cells,):
+            raise BudgetError(
+                f"a measurement of {len(table)} groups must have "
+                f"{table.total_cells} cells, got shape {flat.shape}"
+            )
+        self.strategy_name = strategy_name
+        self.allocation = allocation
+        self.flat = flat
 
     @property
     def budget(self):
         """The total privacy budget the measurement satisfies."""
         return self.allocation.budget
 
+    @property
+    def values(self) -> Dict[str, np.ndarray]:
+        """Noisy values keyed by group label (views of ``flat``)."""
+        table = self.allocation.table
+        bounds = table.offsets.tolist()
+        return {
+            label: self.flat[start:end]
+            for label, start, end in zip(table.labels, bounds, bounds[1:])
+        }
+
     def group_values(self, label: str) -> np.ndarray:
         """Noisy values of the group with the given label."""
-        if label not in self.values:
-            raise BudgetError(f"measurement has no group labelled {label!r}")
-        return self.values[label]
+        table = self.allocation.table
+        try:
+            row = table.position(label)
+        except KeyError:
+            raise BudgetError(f"measurement has no group labelled {label!r}") from None
+        return self.flat[table.offsets[row] : table.offsets[row + 1]]
 
 
 class Strategy(ABC):
@@ -117,24 +148,45 @@ class Strategy(ABC):
     # ------------------------------------------------------------------ #
     # interface
     # ------------------------------------------------------------------ #
-    @abstractmethod
-    def group_specs(self, a: Optional[Sequence[float]] = None) -> List[GroupSpec]:
-        """Group summaries ``(C_r, s_r)`` of the strategy matrix.
+    def group_table(self, a: Optional[Sequence[float]] = None) -> GroupTable:
+        """Group summaries ``(C_r, s_r)`` of the strategy matrix, as columns.
 
         ``a`` contains optional non-negative per-query weights (one per
         workload query, applied to all cells of that query); ``None`` means
         uniform weights, i.e. the sum of variances over all released cells.
+        Mask-indexed strategies also fill the table's ``masks`` column.
+        A strategy overrides this or :meth:`group_specs`; this default
+        tabulates the latter.
         """
+        if type(self).group_specs is Strategy.group_specs:
+            raise NotImplementedError(
+                f"{type(self).__name__} must override group_table or group_specs"
+            )
+        return GroupTable.from_specs(self.group_specs(a))
 
-    @abstractmethod
+    def group_specs(self, a: Optional[Sequence[float]] = None) -> List[GroupSpec]:
+        """The rows of :meth:`group_table` as :class:`GroupSpec` views."""
+        return list(self.group_table(a).specs())
+
     def measure(
-        self, x: np.ndarray, allocation: NoiseAllocation, rng: RngLike = None
+        self, x, allocation: NoiseAllocation, rng: RngLike = None
     ) -> Measurement:
         """Answer the strategy queries on the count vector ``x`` with noise.
 
         The per-group noise level is dictated by ``allocation`` (which must
-        have been computed from this strategy's :meth:`group_specs`).
+        have been computed from this strategy's groups).  The plan executor
+        measures it (:mod:`repro.plan`): one batched kernel and one
+        vectorized draw, the same values as sequential per-group draws from
+        ``rng``.  A strategy without the mask-indexed planner contract must
+        override this.
         """
+        from repro.plan import Executor, Planner  # the plan layer imports this module
+
+        self.check_allocation(allocation)
+        plan = Planner(self._workload, self).plan_allocation(allocation)
+        if plan.kind == "custom":
+            raise NotImplementedError(f"{type(self).__name__} must implement measure()")
+        return Executor(self).measure(plan, x, rng)
 
     @abstractmethod
     def estimate(self, measurement: Measurement) -> List[np.ndarray]:
@@ -149,45 +201,21 @@ class Strategy(ABC):
     def query_masks(self) -> Tuple[int, ...]:
         """Masks of the strategy's measured objects, in group order.
 
-        For mask-indexed kernels this aligns one-to-one with
-        :meth:`group_specs`: cuboid masks for marginal-set strategies, the
-        full-domain mask for the identity strategy, coefficient masks for the
-        Fourier strategy.  The :class:`~repro.plan.planner.Planner` consumes
-        this (together with :meth:`sensitivity_profile`) instead of poking at
-        subclass-specific attributes.  Strategies whose rows are not
+        For mask-indexed kernels this aligns one-to-one with the groups:
+        cuboid masks for marginal-set strategies, the full-domain mask for
+        the identity strategy, coefficient masks for the Fourier strategy
+        (the ``masks`` column of :meth:`group_table`).  The
+        :class:`~repro.plan.planner.Planner` consumes this instead of poking
+        at subclass-specific attributes.  Strategies whose rows are not
         mask-indexed (``measurement_kind == "matrix"``) raise.
         """
-        raise WorkloadError(
-            f"strategy {self._name!r} ({type(self).__name__}) does not expose "
-            "mask-indexed queries"
-        )
-
-    def sensitivity_profile(self) -> Dict[str, Any]:
-        """Structured sensitivity summary the planner consumes.
-
-        Returns the per-group constants ``C_r`` (in group order) together
-        with the classic L1/L2 sensitivities they imply.
-        """
-        constants = tuple(group.constant for group in self.default_group_specs())
-        array = np.asarray(constants, dtype=np.float64)
-        return {
-            "constants": constants,
-            "l1": float(array.sum()),
-            "l2": float(np.sqrt((array**2).sum())),
-        }
-
-    def build_measurement(
-        self, values: Dict[str, np.ndarray], allocation: NoiseAllocation
-    ) -> Measurement:
-        """Assemble a :class:`Measurement` from noisy per-group values.
-
-        The plan executor computes the noisy values with batched kernels and
-        hands them back here so each strategy can attach whatever metadata
-        its :meth:`estimate` expects.
-        """
-        return Measurement(
-            strategy_name=self._name, allocation=allocation, values=values
-        )
+        masks = self.default_group_table().masks
+        if masks is None:
+            raise WorkloadError(
+                f"strategy {self._name!r} ({type(self).__name__}) does not expose "
+                "mask-indexed queries"
+            )
+        return masks
 
     # ------------------------------------------------------------------ #
     # shared helpers
@@ -205,23 +233,23 @@ class Strategy(ABC):
             raise WorkloadError("per-query weights must be non-negative")
         return weights
 
-    def default_group_specs(self) -> List[GroupSpec]:
-        """Group specs for unit query weights, computed once and cached."""
-        cached = getattr(self, "_default_group_specs", None)
+    def default_group_table(self) -> GroupTable:
+        """Group table for unit query weights, computed once and cached."""
+        cached = getattr(self, "_default_group_table", None)
         if cached is None:
-            cached = self.group_specs()
-            self._default_group_specs = cached
+            cached = self.group_table()
+            self._default_group_table = cached
         return cached
 
     def check_allocation(self, allocation: NoiseAllocation) -> None:
         """Verify that ``allocation`` matches this strategy's group labels."""
-        expected = [group.label for group in self.default_group_specs()]
-        provided = [group.label for group in allocation.groups]
-        if expected != provided:
+        expected = self.default_group_table().labels
+        provided = allocation.table.labels
+        if provided is not expected and provided != expected:
             raise BudgetError(
                 f"allocation groups do not match strategy {self._name!r}: "
-                f"expected {len(expected)} groups starting with {expected[:3]}, "
-                f"got {len(provided)} starting with {provided[:3]}"
+                f"expected {len(expected)} groups starting with {list(expected[:3])}, "
+                f"got {len(provided)} starting with {list(provided[:3])}"
             )
 
     def check_vector(self, x: np.ndarray) -> np.ndarray:
@@ -251,5 +279,5 @@ class Strategy(ABC):
         ``Delta_2 = sqrt(sum_r C_r**2)`` for approximate differential
         privacy, both following from the grouping property.
         """
-        profile = self.sensitivity_profile()
-        return profile["l1"] if pure else profile["l2"]
+        constants = self.default_group_table().constants
+        return float(constants.sum() if pure else np.sqrt((constants**2).sum()))

@@ -20,19 +20,10 @@ import numpy as np
 from repro.budget.allocation import NoiseAllocation
 from repro.budget.grouping import GroupSpec, greedy_grouping, group_specs_from_matrices
 from repro.exceptions import RecoveryError, WorkloadError
-from repro.mechanisms.noise import (
-    gaussian_noise,
-    gaussian_sigma_for_budget,
-    laplace_noise,
-    laplace_scale_for_budget,
-)
 from repro.queries.matrix import workload_matrix
 from repro.queries.workload import MarginalWorkload
 from repro.recovery.least_squares import gls_estimate
 from repro.strategies.base import Measurement, Strategy
-from repro.utils.rng import RngLike, ensure_rng
-
-_ROWS_KEY = "rows"
 
 
 class ExplicitMatrixStrategy(Strategy):
@@ -134,34 +125,8 @@ class ExplicitMatrixStrategy(Strategy):
             )
         return variances
 
-    def measure(
-        self, x: np.ndarray, allocation: NoiseAllocation, rng: RngLike = None
-    ) -> Measurement:
-        vector = self.check_vector(x)
-        self.check_allocation(allocation)
-        generator = ensure_rng(rng)
-        budgets = self.row_budgets(allocation)
-        if np.any(budgets <= 0):
-            raise RecoveryError(
-                "explicit strategies require every row to receive a positive budget; "
-                "remove unused rows from the strategy matrix instead"
-            )
-        exact = self._strategy @ vector
-        if allocation.is_pure:
-            noise = laplace_noise(
-                laplace_scale_for_budget(budgets), exact.shape[0], generator
-            )
-        else:
-            sigma = gaussian_sigma_for_budget(budgets, allocation.budget.delta)
-            noise = gaussian_noise(sigma, exact.shape[0], generator)
-        return Measurement(
-            strategy_name=self._name,
-            allocation=allocation,
-            values={_ROWS_KEY: exact + noise},
-        )
-
     def estimate(self, measurement: Measurement) -> List[np.ndarray]:
-        z = measurement.group_values(_ROWS_KEY)
+        # The matrix kernel's flat measurement holds the rows in matrix order.
         variances = self.row_noise_variances(measurement.allocation)
-        flat = gls_estimate(self._queries, self._strategy, variances, z)
+        flat = gls_estimate(self._queries, self._strategy, variances, measurement.flat)
         return self._workload.split_flat(flat)

@@ -13,13 +13,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.budget.allocation import NoiseAllocation
-from repro.budget.grouping import GroupSpec
+from repro.budget.grouping import GroupTable
 from repro.domain.contingency import marginal_from_vector
-from repro.mechanisms.noise import gaussian_noise, gaussian_sigma_for_budget, laplace_noise, laplace_scale_for_budget
 from repro.queries.workload import MarginalWorkload
 from repro.strategies.base import Measurement, Strategy
-from repro.utils.rng import RngLike, ensure_rng
 
 _GROUP_LABEL = "base-counts"
 
@@ -33,42 +30,18 @@ class IdentityStrategy(Strategy):
         super().__init__(workload, name=name)
 
     # ------------------------------------------------------------------ #
-    def query_masks(self) -> tuple:
-        """The identity strategy measures the single full-domain cuboid."""
-        return (self._workload.domain_size - 1,)
-
-    def group_specs(self, a: Optional[Sequence[float]] = None) -> List[GroupSpec]:
+    def group_table(self, a: Optional[Sequence[float]] = None) -> GroupTable:
         weights = self.resolve_query_weights(a)
         # Each base cell contributes (with coefficient 1) to exactly one cell
         # of every query, so its recovery weight is sum_q a_q and the group
-        # weight is N times that.
-        total_weight = float(self._workload.domain_size * weights.sum())
-        return [
-            GroupSpec(
-                label=_GROUP_LABEL,
-                size=self._workload.domain_size,
-                constant=1.0,
-                weight=total_weight,
-            )
-        ]
-
-    def measure(
-        self, x: np.ndarray, allocation: NoiseAllocation, rng: RngLike = None
-    ) -> Measurement:
-        vector = self.check_vector(x)
-        self.check_allocation(allocation)
-        generator = ensure_rng(rng)
-        eta = allocation.budget_for(_GROUP_LABEL)
-        size = vector.shape[0]
-        if allocation.is_pure:
-            noise = laplace_noise(laplace_scale_for_budget(eta), size, generator)
-        else:
-            sigma = gaussian_sigma_for_budget(eta, allocation.budget.delta)
-            noise = gaussian_noise(sigma, size, generator)
-        return Measurement(
-            strategy_name=self._name,
-            allocation=allocation,
-            values={_GROUP_LABEL: vector + noise},
+        # weight is N times that.  The one group is the full-domain cuboid.
+        size = self._workload.domain_size
+        return GroupTable(
+            (_GROUP_LABEL,),
+            (size,),
+            (1.0,),
+            (float(size * weights.sum()),),
+            masks=(size - 1,),
         )
 
     def estimate(self, measurement: Measurement) -> List[np.ndarray]:

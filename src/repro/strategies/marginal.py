@@ -21,20 +21,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.budget.allocation import NoiseAllocation
-from repro.budget.grouping import GroupSpec
+from repro.budget.grouping import GroupTable
 from repro.domain.contingency import marginal_from_vector
 from repro.exceptions import WorkloadError
-from repro.mechanisms.noise import (
-    gaussian_noise,
-    gaussian_sigma_for_budget,
-    laplace_noise,
-    laplace_scale_for_budget,
-)
 from repro.queries.workload import MarginalWorkload
 from repro.strategies.base import Measurement, Strategy
 from repro.utils.bits import dominated_by, hamming_weight, project_index
-from repro.utils.rng import RngLike, ensure_rng
 
 
 def _group_label(mask: int) -> str:
@@ -104,6 +96,9 @@ class MarginalSetStrategy(Strategy):
             [position[self._assignment[query.mask]] for query in workload.queries],
             dtype=np.int64,
         )
+        # int.bit_count, not popcount_array: as fast on a few hundred masks,
+        # and it takes masks past int64 (wider schemas can still be planned).
+        self._sizes = np.array([1 << mask.bit_count() for mask in masks], dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     def _build_assignment(self, explicit: Optional[Dict[int, int]]) -> Dict[int, int]:
@@ -145,82 +140,34 @@ class MarginalSetStrategy(Strategy):
         """Mapping from query mask to the strategy marginal it is answered from."""
         return dict(self._assignment)
 
-    def query_masks(self) -> tuple:
-        """The measured cuboid masks, aligned with :meth:`group_specs`."""
-        return self._strategy_masks
-
-    def build_measurement(self, values, allocation) -> Measurement:
-        return Measurement(
-            strategy_name=self._name,
-            allocation=allocation,
-            values=values,
-            metadata={"strategy_masks": self._strategy_masks},
-        )
-
-    def group_specs(self, a: Optional[Sequence[float]] = None) -> List[GroupSpec]:
+    def group_table(self, a: Optional[Sequence[float]] = None) -> GroupTable:
         weights = self.resolve_query_weights(a)
-        # int.bit_count, not popcount_array: as fast on a few hundred masks,
-        # and it takes masks past int64 (wider schemas can still be planned).
-        orders = [mask.bit_count() for mask in self._strategy_masks]
         # bincount adds each bin's weights in workload order, starting from
         # 0.0: the same float sums as accumulating query by query.
         assigned_weight = np.bincount(
             self._assigned_positions, weights=weights, minlength=len(self._strategy_masks)
         )
-        return [
-            GroupSpec(
-                label=self._labels[mask],
-                size=1 << order,
-                constant=1.0,
-                # Each strategy cell feeds exactly one cell of every
-                # assigned query with coefficient 1.
-                weight=(1 << order) * assigned,
-            )
-            for mask, order, assigned in zip(
-                self._strategy_masks, orders, assigned_weight.tolist()
-            )
-        ]
-
-    def measure(
-        self, x: np.ndarray, allocation: NoiseAllocation, rng: RngLike = None
-    ) -> Measurement:
-        vector = self.check_vector(x)
-        self.check_allocation(allocation)
-        generator = ensure_rng(rng)
-        d = self.dimension
-        values: Dict[str, np.ndarray] = {}
-        for mask in self._strategy_masks:
-            label = self._labels[mask]
-            eta = allocation.budget_for(label)
-            exact = marginal_from_vector(vector, mask, d)
-            if eta <= 0.0:
-                # Group carries no recovery weight; it is not measured.
-                values[label] = np.full_like(exact, np.nan)
-                continue
-            if allocation.is_pure:
-                noise = laplace_noise(laplace_scale_for_budget(eta), exact.shape[0], generator)
-            else:
-                sigma = gaussian_sigma_for_budget(eta, allocation.budget.delta)
-                noise = gaussian_noise(sigma, exact.shape[0], generator)
-            values[label] = exact + noise
-        return Measurement(
-            strategy_name=self._name,
-            allocation=allocation,
-            values=values,
-            metadata={"strategy_masks": self._strategy_masks},
+        return GroupTable(
+            self._labels.values(),
+            self._sizes,
+            np.ones(len(self._sizes)),
+            # Each strategy cell feeds exactly one cell of every assigned
+            # query with coefficient 1.
+            self._sizes * assigned_weight,
+            masks=self._strategy_masks,
         )
 
     def estimate(self, measurement: Measurement) -> List[np.ndarray]:
+        noisy = measurement.flat
+        offsets = self.default_group_table().offsets.tolist()
         estimates = []
-        for query in self._workload.queries:
-            source_mask = self._assignment[query.mask]
-            noisy = measurement.group_values(self._labels[source_mask])
+        for query, position in zip(self._workload.queries, self._assigned_positions.tolist()):
+            values = noisy[offsets[position] : offsets[position + 1]]
+            source_mask = self._strategy_masks[position]
             if source_mask == query.mask:
-                # The query is its own strategy marginal: the aggregation is
-                # the identity, so a copy is the same values.
-                estimates.append(np.array(noisy, dtype=np.float64))
+                estimates.append(values.copy())
             else:
-                estimates.append(submarginal(noisy, source_mask, query.mask))
+                estimates.append(submarginal(values, source_mask, query.mask))
         return estimates
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from repro.budget.allocation import (
     uniform_allocation,
 )
 from repro.budget.grouping import GroupSpec
-from repro.exceptions import BudgetError
+from repro.exceptions import BudgetError, GroupingError
 from repro.mechanisms import PrivacyBudget
 
 
@@ -196,6 +198,47 @@ class TestNoiseAllocationContainer:
                 budget=PrivacyBudget.pure(1.0),
                 kind="optimal",
             )
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_non_finite_budgets_rejected(self, eta):
+        # `eta < 0` is False for NaN, so the old check let it in.
+        with pytest.raises(BudgetError, match="group budgets must be finite"):
+            NoiseAllocation(
+                groups=tuple(make_groups([1.0])),
+                group_budgets=(eta,),
+                budget=PrivacyBudget.pure(1.0),
+                kind="optimal",
+            )
+
+    @pytest.mark.parametrize("field", ["group_budgets", "weight", "constant"])
+    def test_from_dict_rejects_nan_from_stored_json(self, field):
+        allocation = optimal_allocation(make_groups([1.0, 2.0]), PrivacyBudget.pure(1.0))
+        text = json.dumps(allocation.to_dict())
+        payload = json.loads(text)
+        if field == "group_budgets":
+            payload["group_budgets"][1] = math.nan
+        else:
+            payload["groups"][1][field] = math.nan
+        # json writes NaN as a bare token and parses it back.
+        stored = json.loads(json.dumps(payload))
+        with pytest.raises((BudgetError, GroupingError)):
+            NoiseAllocation.from_dict(stored)
+
+    def test_infinite_weight_rejected_before_allocation(self):
+        # An inf weight made optimal_allocation return NaN budgets with only
+        # a RuntimeWarning; the group itself is now refused.
+        with pytest.raises(GroupingError, match="non-finite"):
+            optimal_allocation(make_groups([1.0, math.inf]), PrivacyBudget.pure(1.0))
+
+    def test_overflowing_weights_do_not_yield_nan_budgets(self):
+        groups = [
+            GroupSpec("a", 1, 1e-300, 1e300),
+            GroupSpec("b", 1, 1.0, 1.0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetError, match="finite"):
+                optimal_allocation(groups, PrivacyBudget.pure(1.0))
 
     def test_budget_lookup(self):
         allocation = uniform_allocation(make_groups([1.0, 2.0]), PrivacyBudget.pure(1.0))

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.budget.grouping import (
     GroupSpec,
+    GroupTable,
     greedy_grouping,
     group_constant,
     group_specs_from_matrices,
     row_recovery_weights,
     satisfies_grouping_property,
 )
-from repro.exceptions import GroupingError
+from repro.exceptions import BudgetError, GroupingError
 from repro.queries import all_k_way
 from repro.queries.matrix import (
     fourier_basis_matrix,
@@ -39,6 +42,55 @@ class TestGroupSpec:
     def test_negative_weight(self):
         with pytest.raises(GroupingError):
             GroupSpec(label="g", size=1, constant=1.0, weight=-1.0)
+
+    def test_nan_constant_and_weight_rejected(self):
+        # NaN fails every comparison, so `constant <= 0` alone let it in.
+        with pytest.raises(GroupingError, match="positive column constant, got nan"):
+            GroupSpec("a", 2, math.nan, math.nan)
+        with pytest.raises(GroupingError, match="non-finite"):
+            GroupSpec("a", 2, 1.0, math.nan)
+
+    @pytest.mark.parametrize("constant,weight", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_infinite_constant_or_weight_rejected(self, constant, weight):
+        with pytest.raises(GroupingError, match="non-finite"):
+            GroupSpec("a", 2, constant, weight)
+
+    def test_messages_name_the_group(self):
+        with pytest.raises(GroupingError, match="'g' must contain at least one row"):
+            GroupSpec(label="g", size=0, constant=1.0, weight=1.0)
+        with pytest.raises(GroupingError, match="'g' has a negative recovery weight -1.0"):
+            GroupSpec(label="g", size=1, constant=1.0, weight=-1.0)
+
+
+class TestGroupTable:
+    def test_rejects_the_first_bad_row(self):
+        with pytest.raises(GroupingError, match="group 'b' .*non-finite"):
+            GroupTable(["a", "b", "c"], [1, 2, 4], [1.0, 1.0, 1.0], [1.0, math.inf, 2.0])
+
+    def test_offsets_and_spec_views(self):
+        table = GroupTable(["a", "b"], [2, 4], [1.0, 0.5], [3.0, 0.0])
+        assert table.offsets.tolist() == [0, 2, 6]
+        assert table.total_cells == 6
+        assert table.specs() == (
+            GroupSpec("a", 2, 1.0, 3.0),
+            GroupSpec("b", 4, 0.5, 0.0),
+        )
+        assert table.spec_dicts() == [spec.to_dict() for spec in table.specs()]
+        assert GroupTable.from_specs(table.specs()).labels == ("a", "b")
+
+    def test_columns_are_read_only(self):
+        table = GroupTable(["a"], [2], [1.0], [3.0])
+        with pytest.raises(ValueError):
+            table.weights[0] = 5.0
+
+    def test_replace_validates_budgets(self):
+        table = GroupTable(["a", "b"], [2, 4], [1.0, 0.5], [3.0, 0.0])
+        with pytest.raises(BudgetError, match="got 1 budgets for 2 groups"):
+            table.replace(budgets=[1.0])
+        with pytest.raises(BudgetError, match="finite"):
+            table.replace(budgets=[1.0, math.nan])
+        assert table.replace(budgets=[0.5, 0.0]).budgets.tolist() == [0.5, 0.0]
+        assert table.budgets is None
 
 
 class TestGreedyGrouping:

@@ -9,10 +9,11 @@ Three invariants pin the plan → execute → finalize refactor:
 * **variance bookkeeping** — the plan's expected-variance accounting matches
   :class:`~repro.budget.allocation.NoiseAllocation` exactly;
 * **seeded equivalence** — with the same generator state, the batched
-  executor produces bitwise the same measurement as the legacy
-  ``Strategy.measure`` loop (the plan's single-stream seed policy), and
+  executor produces bitwise the same measurement as the per-group draws of
+  the legacy measurement loops (the plan's single-stream seed policy;
+  reference in ``measure_reference.py``), and
   ``MarginalReleaseEngine.release`` reproduces the legacy hand-wired
-  pipeline bit for bit.
+  pipeline over that reference measurement bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from repro.plan import Executor, Planner
 from repro.queries import MarginalQuery, MarginalWorkload
 from repro.recovery.consistency import make_consistent
 from repro.strategies import make_strategy
+from repro.strategies.base import Measurement
+
+from measure_reference import reference_measure
 
 SETTINGS = settings(
     max_examples=20,
@@ -109,13 +113,9 @@ class TestSeededEquivalence:
         planner = Planner(workload, strategy)
         plan = planner.plan(PrivacyBudget.pure(epsilon))
         x = np.array(counts, dtype=np.float64)
-        legacy = strategy.measure(x, plan.allocation, np.random.default_rng(seed))
+        legacy = reference_measure(strategy, x, plan.allocation, np.random.default_rng(seed))
         batched = Executor(strategy).measure(plan, x, np.random.default_rng(seed))
-        assert set(legacy.values) == set(batched.values)
-        for label in legacy.values:
-            assert np.array_equal(
-                legacy.values[label], batched.values[label], equal_nan=True
-            )
+        assert batched.flat.tobytes() == legacy.tobytes()
 
     @SETTINGS
     @given(workload_masks, count_vectors, epsilons, strategy_names, seeds)
@@ -127,8 +127,8 @@ class TestSeededEquivalence:
 
         strategy = make_strategy(name, workload)
         allocation = engine.allocation(epsilon)
-        measurement = strategy.measure(x, allocation, np.random.default_rng(seed))
-        estimates = strategy.estimate(measurement)
+        legacy = reference_measure(strategy, x, allocation, np.random.default_rng(seed))
+        estimates = strategy.estimate(Measurement(name, allocation, flat=legacy))
         if not strategy.inherently_consistent:
             estimates = make_consistent(workload, estimates).marginals
         for released, legacy in zip(result.marginals, estimates):

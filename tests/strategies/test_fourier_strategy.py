@@ -81,18 +81,9 @@ class TestMeasureAndEstimate:
         """Feeding the exact coefficients through the recovery reproduces the
         exact marginals (Theorem 4.1(2))."""
         full = fwht(random_counts_5)
-        exact = {
-            beta: float(full[beta])
-            for beta in range(full.size)
-            if any(beta & mask == beta for mask in workload_2way_5.masks)
-        }
+        exact = np.array([full[beta] for beta in strategy.coefficient_masks])
         allocation = optimal_allocation(strategy.group_specs(), PrivacyBudget.pure(1.0))
-        measurement = Measurement(
-            strategy_name="F",
-            allocation=allocation,
-            values={},
-            metadata={"coefficients": exact},
-        )
+        measurement = Measurement(strategy_name="F", allocation=allocation, flat=exact)
         estimates = strategy.estimate(measurement)
         for estimate, truth in zip(estimates, workload_2way_5.true_answers(random_counts_5)):
             assert np.allclose(estimate, truth)
@@ -107,11 +98,9 @@ class TestMeasureAndEstimate:
     def test_estimate_from_values_when_metadata_missing(self, strategy, workload_2way_5, random_counts_5):
         allocation = optimal_allocation(strategy.group_specs(), PrivacyBudget.pure(1.0))
         measurement = strategy.measure(random_counts_5, allocation, rng=0)
+        # Rebuilt from the per-group values, concatenated in group order.
         stripped = Measurement(
-            strategy_name="F",
-            allocation=allocation,
-            values=measurement.values,
-            metadata={},
+            strategy_name="F", allocation=allocation, values=measurement.values
         )
         direct = strategy.estimate(measurement)
         rebuilt = strategy.estimate(stripped)
