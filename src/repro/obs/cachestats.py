@@ -1,9 +1,9 @@
 """The shared cache-statistics protocol.
 
 One :class:`CacheStats` serves every cache in the pipeline — the serving
-tier's :class:`~repro.serving.cache.AnswerCache` and the record backend's
-:class:`~repro.sources.record.MarginalMemo` previously hand-rolled separate
-hit/miss bookkeeping; both now carry this object.  When observability is
+tier's :class:`~repro.serving.cache.AnswerCache` and the query planner's
+plan cache both carry this object instead of hand-rolled hit/miss
+bookkeeping.  When observability is
 enabled the same events are mirrored into the active recorder's metrics
 registry under ``<metric_prefix>.hits`` / ``.misses`` / ``.evictions``, so
 a single metrics snapshot reports every cache's hit rate.
@@ -35,22 +35,20 @@ class CacheStats:
     metric_prefix: str = ""
 
     # ------------------------------------------------------------------ #
-    # ``count`` records that many events at once (bulk cache operations);
-    # zero records nothing, as that many single calls would.
-    def record_hit(self, count: int = 1) -> None:
-        self.hits += count
-        if _obs.ENABLED and self.metric_prefix and count:
-            _obs.counter_inc(self.metric_prefix + ".hits", count)
+    def record_hit(self) -> None:
+        self.hits += 1
+        if _obs.ENABLED and self.metric_prefix:
+            _obs.counter_inc(self.metric_prefix + ".hits")
 
-    def record_miss(self, count: int = 1) -> None:
-        self.misses += count
-        if _obs.ENABLED and self.metric_prefix and count:
-            _obs.counter_inc(self.metric_prefix + ".misses", count)
+    def record_miss(self) -> None:
+        self.misses += 1
+        if _obs.ENABLED and self.metric_prefix:
+            _obs.counter_inc(self.metric_prefix + ".misses")
 
-    def record_eviction(self, count: int = 1) -> None:
-        self.evictions += count
-        if _obs.ENABLED and self.metric_prefix and count:
-            _obs.counter_inc(self.metric_prefix + ".evictions", count)
+    def record_eviction(self) -> None:
+        self.evictions += 1
+        if _obs.ENABLED and self.metric_prefix:
+            _obs.counter_inc(self.metric_prefix + ".evictions")
 
     # ------------------------------------------------------------------ #
     @property

@@ -252,9 +252,6 @@ class QueryPlanner:
     ----------
     release:
         The released workload answers to serve from.
-    cell_variances:
-        Optional pre-computed per-cell variances by released mask (defaults
-        to :func:`released_cell_variances` of the release).
     marginal_digests:
         Optional sha256 content digests of the released vectors, in workload
         order (``ReleaseStore.marginal_digests``).  When given, each source
@@ -267,7 +264,6 @@ class QueryPlanner:
         self,
         release: ReleaseResult,
         *,
-        cell_variances: Optional[Dict[int, float]] = None,
         marginal_digests: Optional[Sequence[str]] = None,
     ):
         self._release = release
@@ -289,18 +285,10 @@ class QueryPlanner:
                 f"{len(release.marginals)} released vectors"
             )
         self._verified: Set[int] = set()
-        self._cell_variances = (
-            dict(cell_variances) if cell_variances is not None else released_cell_variances(release)
-        )
-        missing = [mask for mask in self._positions if mask not in self._cell_variances]
-        if missing:
-            raise ServingError(
-                f"no cell variance for released cuboids {[hex(m) for m in missing]}"
-            )
         # Containment queries (covers / covering_masks / plan) run against a
         # precomputed popcount-bucketed index instead of rescanning every
         # released mask, and resolved plans are memoised by query shape.
-        self._index = CoveringIndex(self._positions, self._cell_variances)
+        self._index = CoveringIndex(self._positions, released_cell_variances(release))
         self._plan_cache: "OrderedDict[Tuple[int, FrozenSet[int]], QueryPlan]" = OrderedDict()
         # Batch groups aggregate on pool threads and the HTTP tier calls
         # query_batch from several executor threads at once; the LRU

@@ -58,11 +58,9 @@ from repro.shards.pool import (
 )
 from repro.sources.base import CountSource, ensure_dense_allowed
 from repro.sources.record import (
-    DEFAULT_MARGINAL_CACHE,
-    MarginalMemo,
     RecordSource,
     StackedMarginals,
-    memoised_marginals,
+    checked_worklist_marginals,
     with_pair_costs,
     worklist_marginals,
 )
@@ -141,7 +139,6 @@ class ShardedRecordSource(CountSource):
         schema: Optional["Schema"] = None,
         deduplicate: bool = True,
         limit_bits: Optional[int] = None,
-        marginal_cache_size: int = DEFAULT_MARGINAL_CACHE,
         retry_policy: Optional[RetryPolicy] = None,
     ):
         # Reuse the unsharded source's validation + dedup, then partition.
@@ -152,7 +149,6 @@ class ShardedRecordSource(CountSource):
             schema=schema,
             deduplicate=deduplicate,
             limit_bits=limit_bits,
-            marginal_cache_size=0,
         )
         self._init_from_arrays(
             base.codes,
@@ -161,7 +157,6 @@ class ShardedRecordSource(CountSource):
             shards=shards,
             workers=workers,
             executor=executor,
-            marginal_cache_size=marginal_cache_size,
             retry_policy=retry_policy,
         )
 
@@ -174,7 +169,6 @@ class ShardedRecordSource(CountSource):
         shards: int,
         workers: Optional[int],
         executor: str,
-        marginal_cache_size: int,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         shard_count = int(shards)
@@ -191,7 +185,6 @@ class ShardedRecordSource(CountSource):
         self._total = float(sum(float(part[1].sum()) for part in self._shards))
         self._workers = resolve_worker_count(shard_count, workers)
         self._executor_kind = check_executor_kind(executor)
-        self._memo = MarginalMemo(marginal_cache_size)
         self._retry = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
 
     # ------------------------------------------------------------------ #
@@ -205,7 +198,6 @@ class ShardedRecordSource(CountSource):
         shards: int,
         workers: Optional[int] = None,
         executor: str = "thread",
-        marginal_cache_size: int = DEFAULT_MARGINAL_CACHE,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> "ShardedRecordSource":
         """Shard an existing record source (codes are already deduplicated)."""
@@ -217,7 +209,6 @@ class ShardedRecordSource(CountSource):
             shards=shards,
             workers=workers,
             executor=executor,
-            marginal_cache_size=marginal_cache_size,
             retry_policy=retry_policy,
         )
         return instance
@@ -283,11 +274,6 @@ class ShardedRecordSource(CountSource):
     def executor_kind(self) -> str:
         """``"thread"`` or ``"process"``."""
         return self._executor_kind
-
-    @property
-    def memo_stats(self):
-        """Hit/miss/eviction counters of the per-source marginal memo."""
-        return self._memo.stats
 
     @property
     def shard_arrays(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
@@ -489,8 +475,8 @@ class ShardedRecordSource(CountSource):
     def marginals_for_batches(
         self, batches: Sequence[Tuple[int, Sequence[int]]]
     ) -> Dict[int, np.ndarray]:
-        return memoised_marginals(
-            self, self._memo, batches, self._reduce_shards, limit_bits=self._limit_bits
+        return checked_worklist_marginals(
+            self, batches, self._reduce_shards, limit_bits=self._limit_bits
         )
 
     def dense_vector(self) -> np.ndarray:

@@ -16,7 +16,7 @@ from repro.sources.base import (
     ensure_dense_allowed,
 )
 from repro.sources.dense import DenseCubeSource
-from repro.sources.record import MAX_RECORD_BITS, MarginalMemo, RecordSource
+from repro.sources.record import MAX_RECORD_BITS, RecordSource
 from repro.sources.resolve import (
     BACKENDS,
     as_count_source,
@@ -32,7 +32,6 @@ __all__ = [
     "MAX_RECORD_BITS",
     "CountSource",
     "DenseCubeSource",
-    "MarginalMemo",
     "RecordSource",
     "as_count_source",
     "check_backend",

@@ -26,7 +26,6 @@ take the projected bincount.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Mapping
 from itertools import chain, combinations
 from typing import (
@@ -46,7 +45,6 @@ import numpy as np
 from repro.exceptions import DataError
 from repro.fourier.index import project_indices
 from repro.obs import runtime as _obs
-from repro.obs.cachestats import CacheStats
 from repro.sources.base import (
     DENSE_LIMIT_BITS,
     CountSource,
@@ -60,14 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Widest supported domain: codes are int64, so bit 62 is the last usable one.
 MAX_RECORD_BITS = 62
-
-#: Default capacity of the per-source marginal memo (see :class:`MarginalMemo`).
-DEFAULT_MARGINAL_CACHE = 64
-
-#: Default total-cell budget of the memo: 2**21 float64 cells is 16 MiB.
-#: Bounds memory on long-lived cached sources even when wide batch-root
-#: marginals (up to the dense limit, 512 MiB each) pass through.
-DEFAULT_MARGINAL_CACHE_CELLS = 1 << 21
 
 #: Transient cell budget of the plane-sharing batch kernel: at most 2**23
 #: int64 plane cells (64 MiB) held at once per kernel invocation.
@@ -86,128 +76,6 @@ EXACT_INTEGER_LIMIT = float(1 << 53)
 
 #: Row ``v`` holds the bits of the byte value ``v``, lowest first.
 _BIT_TABLE = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.float64)
-
-
-class MarginalMemo:
-    """A small LRU of computed marginals, keyed by cuboid mask.
-
-    Consistency and recovery paths re-request the same cuboids (and serving
-    re-reads them per query); without the memo every repeat re-projects the
-    full code array.  The memo stores its own private arrays and the sources
-    copy on the way out, so the :meth:`CountSource.marginal` contract — the
-    caller owns the returned array and may mutate it — still holds.
-
-    Bounded twice: at most ``maxsize`` entries AND at most ``max_cells``
-    total cells (an array larger than the whole budget is never stored, so
-    one wide batch-root marginal cannot pin hundreds of MiB on a cached
-    source).  A ``maxsize`` of 0 disables caching entirely.
-
-    A worklist reaches the memo in bulk: :meth:`get_many` looks up all its
-    masks and :meth:`put_many` stores what was computed, each in one call
-    that leaves the entries, their LRU order, :attr:`cells` and the
-    hit/miss/eviction counters exactly as :meth:`get` / :meth:`put` of each
-    mask in turn would.  :meth:`put_many` stores only the values that would
-    survive that loop, so a worklist longer than the memo does not insert
-    (and its caller does not copy) entries that the loop would evict again
-    in the same call.
-    """
-
-    __slots__ = ("_entries", "_maxsize", "_max_cells", "_cells", "stats")
-
-    def __init__(
-        self,
-        maxsize: int = DEFAULT_MARGINAL_CACHE,
-        max_cells: int = DEFAULT_MARGINAL_CACHE_CELLS,
-    ):
-        self._entries: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._maxsize = int(maxsize)
-        self._max_cells = int(max_cells)
-        self._cells = 0
-        self.stats = CacheStats(metric_prefix="record.memo")
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def enabled(self) -> bool:
-        return self._maxsize > 0
-
-    @property
-    def cells(self) -> int:
-        """Total cells currently held."""
-        return self._cells
-
-    def get(self, mask: int) -> Optional[np.ndarray]:
-        value = self._entries.get(mask)
-        if value is None:
-            self.stats.record_miss()
-            return None
-        self._entries.move_to_end(mask)
-        self.stats.record_hit()
-        return value
-
-    def get_many(self, masks: Sequence[int]) -> Dict[int, np.ndarray]:
-        """:meth:`get` of every mask in turn: the held arrays of the hits."""
-        entries = self._entries
-        hits = [mask for mask in masks if mask in entries]
-        for mask in hits:
-            entries.move_to_end(mask)
-        self.stats.record_hit(len(hits))
-        self.stats.record_miss(len(masks) - len(hits))
-        return {mask: entries[mask] for mask in hits}
-
-    def put(self, mask: int, value: np.ndarray) -> bool:
-        """Store ``value``; returns whether it was cached (too-large arrays
-        are not, and the caller then keeps sole ownership — no copy needed)."""
-        if self._maxsize <= 0 or value.size > self._max_cells:
-            return False
-        previous = self._entries.pop(mask, None)
-        if previous is not None:
-            self._cells -= previous.size
-        self._entries[mask] = value
-        self._cells += value.size
-        while len(self._entries) > self._maxsize or self._cells > self._max_cells:
-            _, evicted = self._entries.popitem(last=False)
-            self._cells -= evicted.size
-            self.stats.record_eviction()
-        return True
-
-    def put_many(self, items: Sequence[Tuple[int, np.ndarray]]) -> List[int]:
-        """:meth:`put` of every ``(mask, value)`` in turn; returns the masks
-        it stored, whose arrays the memo now owns (the caller copies them).
-
-        The masks must be distinct and not held, as the misses of one
-        :meth:`get_many` are.  The loop appends at the back and evicts from
-        the front until both bounds hold again; the front it stops at never
-        moves back, so the survivors are the longest suffix of (held
-        entries, storable items) within both bounds, and every entry before
-        that suffix is one eviction.
-        """
-        masks = [mask for mask, _value in items]
-        if len(set(masks)) != len(masks) or not self._entries.keys().isdisjoint(masks):
-            raise ValueError("put_many needs distinct masks that the memo does not hold")
-        if self._maxsize <= 0:
-            return []
-        storable = [(mask, value) for mask, value in items if value.size <= self._max_cells]
-        held = len(self._entries)
-        sizes = np.array(
-            [value.size for value in self._entries.values()]
-            + [value.size for _mask, value in storable],
-            dtype=np.int64,
-        )
-        suffix_cells = np.cumsum(sizes[::-1])[::-1]
-        front = max(
-            sizes.shape[0] - self._maxsize,
-            int(np.count_nonzero(suffix_cells > self._max_cells)),
-        )
-        for _ in range(min(front, held)):
-            self._entries.popitem(last=False)
-        kept = storable[max(front - held, 0) :]
-        self._entries.update(kept)
-        self._cells = int(suffix_cells[front]) if front < sizes.shape[0] else 0
-        if front:
-            self.stats.record_eviction(front)
-        return [mask for mask, _value in kept]
 
 
 def projected_marginals(
@@ -564,22 +432,21 @@ def worklist_marginals(
     return out
 
 
-def memoised_marginals(
+def checked_worklist_marginals(
     source: CountSource,
-    memo: MarginalMemo,
     batches: Sequence[Tuple[int, Sequence[int]]],
     compute: Callable[[List[Tuple[int, Tuple[int, ...]]]], Dict[int, np.ndarray]],
     *,
     limit_bits: int,
 ) -> Dict[int, np.ndarray]:
-    """The ``marginals_for_batches`` of the record backends around their memo.
+    """The ``marginals_for_batches`` of the record backends: validate every
+    mask, then hand ``compute`` ONE worklist that names each member once.
 
-    Validates every mask (one range check over all of them, one width check
-    over the members), serves memo hits as fresh copies, hands the rest to
-    ``compute`` as ONE worklist (each member once) and memoises what it
-    returns with one :meth:`MarginalMemo.put_many`, which stores only the
-    members that stay in the memo; callers own every returned array.  A
-    worklist with an invalid mask is rejected before the memo is touched.
+    The masks are checked with one range check over all of them and one
+    width check over the members; a worklist with an invalid mask raises
+    what checking each mask in turn would (:func:`_raise_for_masks`) before
+    anything is computed.  A member listed under several roots is computed
+    under the first; callers own every returned array.
     """
     roots = [int(root) for root, _members in batches]
     member_lists = [[int(member) for member in members] for _root, members in batches]
@@ -591,21 +458,14 @@ def memoised_marginals(
         or (unique and int(popcount_array(np.array(unique)).max()) > limit_bits)
     ):
         _raise_for_masks(source, batches, limit_bits)
-    cached = memo.get_many(unique)
-    values = {member: value.copy() for member, value in cached.items()}
-    pending = set(unique).difference(cached)
+    seen: set = set()
     work: List[Tuple[int, Tuple[int, ...]]] = []
     for root, members in zip(roots, member_lists):
-        needed = tuple(dict.fromkeys(member for member in members if member in pending))
+        needed = tuple(dict.fromkeys(member for member in members if member not in seen))
         if needed:
-            pending.difference_update(needed)
+            seen.update(needed)
             work.append((root, needed))
-    if work:
-        computed = dict(compute(work).items())
-        values.update(computed)
-        for member in memo.put_many(list(computed.items())):
-            values[member] = computed[member].copy()
-    return values
+    return dict(compute(work).items()) if work else {}
 
 
 def _raise_for_masks(
@@ -647,9 +507,6 @@ class RecordSource(CountSource):
         Per-cuboid dense limit (defaults to
         :data:`~repro.sources.base.DENSE_LIMIT_BITS`): requesting a marginal
         or dense vector wider than this raises :class:`DataError`.
-    marginal_cache_size:
-        Capacity of the per-source marginal memo (repeat requests for the
-        same cuboid are served from cache, as fresh copies); 0 disables it.
     """
 
     backend = "record"
@@ -663,7 +520,6 @@ class RecordSource(CountSource):
         schema: Optional["Schema"] = None,
         deduplicate: bool = True,
         limit_bits: Optional[int] = None,
-        marginal_cache_size: int = DEFAULT_MARGINAL_CACHE,
     ):
         d = int(dimension)
         if not (1 <= d <= MAX_RECORD_BITS):
@@ -696,7 +552,6 @@ class RecordSource(CountSource):
         self._d = d
         self._schema = schema
         self._limit_bits = DENSE_LIMIT_BITS if limit_bits is None else int(limit_bits)
-        self._memo = MarginalMemo(marginal_cache_size)
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -771,11 +626,6 @@ class RecordSource(CountSource):
         return self._limit_bits
 
     @property
-    def memo_stats(self) -> CacheStats:
-        """Hit/miss/eviction counters of the per-source marginal memo."""
-        return self._memo.stats
-
-    @property
     def total(self) -> float:
         return float(self._weights.sum())
 
@@ -798,8 +648,8 @@ class RecordSource(CountSource):
     def marginals_for_batches(
         self, batches: Sequence[Tuple[int, Sequence[int]]]
     ) -> Dict[int, np.ndarray]:
-        return memoised_marginals(
-            self, self._memo, batches, self._compute, limit_bits=self._limit_bits
+        return checked_worklist_marginals(
+            self, batches, self._compute, limit_bits=self._limit_bits
         )
 
     def _compute(

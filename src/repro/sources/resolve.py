@@ -176,7 +176,7 @@ def as_count_source(
     verbatim — handing the engine a concrete source *is* the backend (and
     shard-layout) choice, and overrides the policy and the shard knobs.  A
     ``str`` / ``Path`` names an encoded source directory, opened
-    memory-mapped (``memory_budget`` caps its marginal-cache bytes;
+    memory-mapped (``memory_budget`` caps its materialised batch roots;
     the knob is ignored for inputs that are already in memory).
     """
     from repro.shards.partition import check_shard_knobs

@@ -39,7 +39,7 @@ from repro.obs import runtime as _obs
 from repro.resilience import faults as _faults
 from repro.resilience.retry import DEFAULT_RETRY_POLICY
 from repro.shards.partition import shard_of_codes
-from repro.sources.record import DEFAULT_MARGINAL_CACHE, MAX_RECORD_BITS, RecordSource
+from repro.sources.record import MAX_RECORD_BITS, RecordSource
 from repro.store.layout import (
     NpyStreamWriter,
     parse_memory_budget,
@@ -267,7 +267,6 @@ def write_source(
         dimension=dimension,
         schema=schema,
         deduplicate=deduplicate,
-        marginal_cache_size=0,
     )
     shard_count = resolve_store_shards(base.distinct_records, shards)
     writer = EncodedSourceWriter(
@@ -313,7 +312,6 @@ def open_source(
     *,
     workers: Optional[int] = None,
     limit_bits: Optional[int] = None,
-    marginal_cache_size: int = DEFAULT_MARGINAL_CACHE,
     memory_budget: Optional[Union[int, str]] = None,
     verify: bool = False,
 ) -> MappedRecordSource:
@@ -323,10 +321,10 @@ def open_source(
     kernels touch them.  With ``verify`` every shard file's data bytes are
     hashed against the manifest digests first (a full read of the files).
     ``memory_budget`` (bytes, or a string like ``"256M"``) bounds the
-    source's resident working set: it caps the marginal-memo cells at a
-    quarter of the budget and gives the planner a ceiling on materialised
-    batch roots, so long-lived mapped sources respect the same knob as
-    spilled ingestion.
+    source's resident working set: it gives the planner a ceiling on
+    materialised batch roots (:meth:`MappedRecordSource.max_root_cells`),
+    so long-lived mapped sources respect the same knob as spilled
+    ingestion.
     """
     root = Path(path)
     manifest = read_manifest(root)
@@ -360,7 +358,6 @@ def open_source(
             schema=schema,
             workers=workers,
             limit_bits=limit_bits,
-            marginal_cache_size=marginal_cache_size,
             memory_budget=budget_bytes,
             distinct_records=int(manifest["distinct"]),
             total_weight=float(manifest["total_weight"]),

@@ -34,14 +34,7 @@ from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.shards.partition import resolve_worker_count
 from repro.shards.sharded import ShardedRecordSource, Worklist
 from repro.sources.base import DENSE_LIMIT_BITS
-from repro.sources.record import (
-    DEFAULT_MARGINAL_CACHE,
-    DEFAULT_MARGINAL_CACHE_CELLS,
-    MAX_RECORD_BITS,
-    MarginalMemo,
-    StackedMarginals,
-    worklist_marginals,
-)
+from repro.sources.record import MAX_RECORD_BITS, StackedMarginals, worklist_marginals
 from repro.store.layout import release_pages
 
 #: Cost-model weight of streaming one mapped record entry from disk relative
@@ -102,8 +95,6 @@ class MappedRecordSource(ShardedRecordSource):
         schema: Optional[object] = None,
         workers: Optional[int] = None,
         limit_bits: Optional[int] = None,
-        marginal_cache_size: int = DEFAULT_MARGINAL_CACHE,
-        marginal_cache_cells: Optional[int] = None,
         memory_budget: Optional[int] = None,
         distinct_records: Optional[int] = None,
         total_weight: Optional[float] = None,
@@ -139,16 +130,6 @@ class MappedRecordSource(ShardedRecordSource):
         self._workers = resolve_worker_count(len(shards), workers)
         self._executor_kind = "thread"
         self._memory_budget = None if memory_budget is None else int(memory_budget)
-        if marginal_cache_cells is None and self._memory_budget is not None:
-            # A quarter of the budget for cached marginals (float64 cells);
-            # the rest covers mapped pages in flight and kernel transients.
-            marginal_cache_cells = max(1, self._memory_budget // (8 * 4))
-        self._memo = MarginalMemo(
-            marginal_cache_size,
-            DEFAULT_MARGINAL_CACHE_CELLS
-            if marginal_cache_cells is None
-            else int(marginal_cache_cells),
-        )
         self._root = Path(root) if root is not None else None
         self._bytes_mapped = int(bytes_mapped)
         self._retry = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY

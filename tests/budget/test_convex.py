@@ -124,3 +124,21 @@ class TestAgreementWithClosedForm:
         weights = np.array([spec.weight for spec in specs])
         solution = solve_budget_problem(strategy_matrix, weights, epsilon)
         assert solution.objective == pytest.approx(closed.total_weighted_variance(), rel=1e-2)
+
+    def test_unconverged_point_is_scaled_back_to_feasibility(self):
+        """At d = 8 (star workload, S = Q) SLSQP stops unconverged at a point
+        whose largest column sum exceeds epsilon; the returned budgets are
+        scaled back onto the constraint, so they never beat the closed form."""
+        from repro.domain import Schema
+        from repro.queries import star_workload
+        from repro.queries.matrix import strategy_matrix_from_masks
+        from repro.strategies import query_strategy
+
+        schema = Schema.binary([f"a{i}" for i in range(8)])
+        strategy = query_strategy(star_workload(schema, 1))
+        dense = strategy_matrix_from_masks(list(strategy.strategy_masks), schema.total_bits)
+        epsilon = 1.0
+        solution = solve_budget_problem(dense, np.ones(dense.shape[0]), epsilon)
+        closed = optimal_allocation(strategy.group_specs(), PrivacyBudget.pure(epsilon))
+        assert weighted_l1_column_bound(dense, solution.epsilons) <= epsilon * (1 + 1e-9)
+        assert solution.objective >= closed.total_weighted_variance() * (1 - 1e-6)

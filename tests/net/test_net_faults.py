@@ -99,7 +99,9 @@ class TestRetryableFaultPlansNeverCorruptAnswers:
         plan = FaultPlan(
             [
                 FaultSpec("net.read", rate=0.3),
-                FaultSpec("net.handler", rate=0.3),
+                # Every request that passes the read reaches the handler, so a
+                # hit schedule fires however the request bytes arrive.
+                FaultSpec("net.handler", hits=(1, 3)),
             ],
             seed=11,
         )

@@ -1,8 +1,7 @@
-"""One CacheStats protocol across serving AnswerCache and source MarginalMemo."""
+"""One CacheStats protocol across the serving answer cache and plan cache."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.engine import release_marginals
@@ -10,7 +9,6 @@ from repro.obs import CacheStats, tracing
 from repro.queries import all_k_way
 from repro.serving.cache import AnswerCache
 from repro.serving.service import QueryService
-from repro.sources.record import RecordSource
 
 
 class TestCacheStatsProtocol:
@@ -102,27 +100,3 @@ class TestBatchPathObs:
         stats = service.stats()
         assert stats["batch_groups"] >= 2
         assert stats["plan_cache"]["hits"] >= 1
-
-
-class TestMarginalMemoStats:
-    def test_memo_hits_are_counted(self, small_dataset):
-        source = RecordSource(np.arange(20, dtype=np.int64), dimension=5)
-        mask = 0b00011
-        first = source.marginals_for_batches([(mask, (mask,))])
-        second = source.marginals_for_batches([(mask, (mask,))])
-        assert np.array_equal(first[mask], second[mask])
-        stats = source.memo_stats
-        assert isinstance(stats, CacheStats)
-        assert stats.hits >= 1
-        assert stats.misses >= 1
-
-    def test_traced_memo_mirrors_counters(self, small_dataset):
-        source = RecordSource(np.arange(20, dtype=np.int64), dimension=5)
-        mask = 0b00011
-        with tracing() as recorder:
-            source.marginals_for_batches([(mask, (mask,))])
-            source.marginals_for_batches([(mask, (mask,))])
-        counters = recorder.metrics.snapshot()["counters"]
-        assert counters.get("record.memo.hits", 0.0) >= 1.0
-        assert counters.get("record.memo.misses", 0.0) >= 1.0
-        assert counters["source.batches"] >= 1.0

@@ -307,7 +307,7 @@ class TestPairKernelPricing:
     def wide(self):
         dataset = wide_records()
         workload = all_k_way(dataset.schema, 2)
-        source = RecordSource(*dataset.encoded_counts(), dimension=32, marginal_cache_size=0)
+        source = RecordSource(*dataset.encoded_counts(), dimension=32)
         plan = Planner(workload, query_strategy(workload)).plan(
             PrivacyBudget.pure(1.0), source=source
         )

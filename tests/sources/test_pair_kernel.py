@@ -247,7 +247,7 @@ class TestFallback:
         # 7.9 ms for all 36 members as bincounts).  16 members are cheaper as
         # bincounts; all 36 are cheaper through the kernel.
         codes = np.random.default_rng(41).integers(0, 1 << D, 41_000, dtype=np.int64)
-        source = RecordSource(codes, dimension=D, marginal_cache_size=0)
+        source = RecordSource(codes, dimension=D)
         masks = narrow_masks(range(0, 64, 8))
         root = from_bit_indices(range(0, 64, 8))
         for members, paired in ((masks[:16], 0), (masks, len(masks))):
@@ -275,7 +275,7 @@ class TestSources:
     )
     def test_every_layout_matches_the_reference(self, rows, weight_pool, work, layout):
         weights = np.array(weight_pool[: len(rows)], dtype=np.float64)
-        base = RecordSource(rows, weights, dimension=D, marginal_cache_size=0)
+        base = RecordSource(rows, weights, dimension=D)
         if layout is None:
             source, parts = base, [(base.codes, base.weights)]
         else:
@@ -285,7 +285,7 @@ class TestSources:
             )
             parts = source.shard_arrays
         out = source.marginals_for_batches(work)
-        again = source.marginals_for_batches(work)  # served from the memo
+        again = source.marginals_for_batches(work)  # recomputed: deterministic
         unsharded = base.marginals_for_batches(work)
         assert set(out) == requested(work)
         for mask, value in out.items():
@@ -319,7 +319,7 @@ class TestSources:
             path = write_source(
                 Path(scratch) / "src", rows, weights, dimension=D, shards=shards
             )
-            source = open_source(path, workers=workers, marginal_cache_size=0)
+            source = open_source(path, workers=workers)
             out = source.marginals_for_batches(work)
             for mask in requested(work):
                 assert_bitwise(out[mask], shard_reference(source.shard_arrays, mask))
@@ -366,7 +366,7 @@ def release_digest(result) -> str:
 class TestTracing:
     def test_counters_split_members_by_kernel(self):
         codes = np.random.default_rng(1).integers(0, 1 << 12, 400)
-        source = RecordSource(codes, dimension=12, marginal_cache_size=0)
+        source = RecordSource(codes, dimension=12)
         narrow = narrow_masks(range(6))
         wide = [0b111, 0b111000000]
         with tracing() as recorder:

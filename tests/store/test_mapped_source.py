@@ -52,7 +52,7 @@ class TestMappedKernels:
         # madvise(DONTNEED) must not invalidate the mapping: the same
         # marginal computed twice (cold, then after release) is identical.
         path, codes = stored
-        mapped = open_source(path, marginal_cache_size=0)
+        mapped = open_source(path)
         first = mapped.marginal(0b101)
         second = mapped.marginal(0b101)
         assert np.array_equal(first, second)
@@ -70,13 +70,6 @@ class TestMappedConstruction:
     def test_describe_layout_mentions_the_mapping(self, stored):
         path, _ = stored
         assert "memory-mapped" in open_source(path).describe_layout()
-
-    def test_memory_budget_caps_the_memo(self, stored):
-        path, _ = stored
-        capped = open_source(path, memory_budget=1 << 20)
-        uncapped = open_source(path)
-        assert capped._memo._max_cells == (1 << 20) // 32
-        assert uncapped._memo._max_cells > capped._memo._max_cells
 
 
 class TestMappedCosting:
