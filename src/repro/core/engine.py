@@ -91,7 +91,7 @@ class MarginalReleaseEngine:
     shards:
         Number of hash shards for the record-native backend (marginals are
         computed per shard on a worker pool and summed in fixed shard
-        order).  ``None`` auto-shards above the record-count threshold on
+        order).  ``None`` auto-shards at or above the row-count threshold on
         multi-core machines; sharding never changes values — seeded
         releases are bitwise identical for any shard and worker count.
     workers:
@@ -149,11 +149,6 @@ class MarginalReleaseEngine:
 
     # ------------------------------------------------------------------ #
     @property
-    def workload(self) -> MarginalWorkload:
-        """The workload this engine answers."""
-        return self._workload
-
-    @property
     def strategy(self) -> Strategy:
         """The strategy used by this engine."""
         return self._strategy
@@ -172,26 +167,6 @@ class MarginalReleaseEngine:
     def executor(self) -> Executor:
         """The executor running plans with batched kernels."""
         return self._executor
-
-    @property
-    def backend(self) -> str:
-        """The configured backend policy (``"auto"``, ``"dense"``, ``"record"``)."""
-        return self._backend
-
-    @property
-    def shards(self) -> Optional[int]:
-        """The configured shard count (``None`` = auto)."""
-        return self._shards
-
-    @property
-    def workers(self) -> Optional[int]:
-        """The configured worker count (``None`` = auto)."""
-        return self._workers
-
-    @property
-    def memory_budget(self) -> Optional[Union[int, str]]:
-        """The configured memory budget for out-of-core inputs (``None`` = unbounded)."""
-        return self._memory_budget
 
     @property
     def resolved_backend(self) -> str:

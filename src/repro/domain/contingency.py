@@ -175,19 +175,13 @@ class ContingencyTable:
 
         ``"dense"`` (and ``"auto"`` below the dense limit) wraps the existing
         vector, sharing its memory; ``"record"`` (and ``"auto"`` above the
-        limit) converts the non-zero cells into a record-native source.  The
-        single table→source dispatch rule — :func:`as_count_source` delegates
-        here for table inputs.
+        limit) converts the non-zero cells into a record-native source,
+        sharded by the same rule as a dataset of the same data
+        (:func:`repro.sources.resolve.count_source`).
         """
-        from repro.sources.dense import DenseCubeSource
-        from repro.sources.record import RecordSource
-        from repro.sources.resolve import materialised_backend
+        from repro.sources.resolve import count_source
 
-        if materialised_backend(self.dimension, backend, limit_bits=limit_bits) == "record":
-            return RecordSource.from_vector(
-                self._counts, self.dimension, schema=self._schema, limit_bits=limit_bits
-            )
-        return DenseCubeSource.from_table(self)
+        return count_source(self, backend, limit_bits=limit_bits)
 
     # ------------------------------------------------------------------ #
     # constructors

@@ -50,12 +50,8 @@ class Dataset:
         self._name = name or "dataset"
         self._table: Optional[ContingencyTable] = None
         # Deduplicated (codes, weights) encoding, shared by the record-native
-        # source and the dense cube build — plus the sources built from it
-        # (the sharded ones keyed by their layout, so repeated releases reuse
-        # one partition and one worker pool).
+        # source and the dense cube build.
         self._encoded: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._record_source: Optional["CountSource"] = None
-        self._sharded_sources: dict = {}
 
     # ------------------------------------------------------------------ #
     @property
@@ -139,84 +135,38 @@ class Dataset:
         ``backend="auto"`` wraps the dense contingency table up to the dense
         limit (bit-for-bit the historical pipeline) and switches to the
         record-native source above it; ``"dense"`` / ``"record"`` force one.
-
-        ``shards`` / ``workers`` partition the record-native source into
-        hash shards computed on a worker pool
-        (:class:`~repro.shards.sharded.ShardedRecordSource`); left unset,
-        datasets past the auto-shard record threshold shard automatically on
-        multi-core machines.  Sharding never changes values.
+        ``shards`` / ``workers`` split the record-native source into hash
+        shards computed on a worker pool; left unset, it shards at or above
+        the auto-shard row count on multi-core machines.  Sharding never
+        changes values.  The rule is :func:`repro.sources.resolve.count_source`,
+        the same for a table or a count vector of this data.
         """
-        from repro.shards.partition import check_shard_knobs, resolve_shard_count
-        from repro.shards.sharded import ShardedRecordSource
-        from repro.sources.dense import DenseCubeSource
-        from repro.sources.record import RecordSource
-        from repro.sources.resolve import select_backend
+        from repro.sources.resolve import count_source
 
-        check_shard_knobs(shards, workers)
-        if backend == "dense" and self._table is not None and (
-            shards is None or int(shards) <= 1
-        ):
-            # The dense table already exists (e.g. built under an explicit
-            # limit_bits override); wrapping it allocates nothing, so the
-            # dense limit — which guards *new* allocations — does not apply.
-            return DenseCubeSource.from_table(self._table)
-        resolved = select_backend(
-            self._schema.total_bits, backend, limit_bits=limit_bits, shards=shards
-        )
-        resolved_shards = (
-            resolve_shard_count(len(self), shards, workers=workers)
-            if resolved == "record"
-            else 1
-        )
-        if resolved == "dense":
-            return DenseCubeSource.from_table(
-                self.contingency_table(limit_bits=limit_bits)
-            )
-        codes, weights = self.encoded_counts()
-        if resolved_shards > 1:
-            key = (resolved_shards, workers, executor, limit_bits)
-            source = self._sharded_sources.get(key)
-            if source is None:
-                source = ShardedRecordSource(
-                    codes,
-                    weights,
-                    dimension=self._schema.total_bits,
-                    schema=self._schema,
-                    shards=resolved_shards,
-                    workers=workers,
-                    executor=executor,
-                    deduplicate=False,
-                    limit_bits=limit_bits,
-                )
-                self._sharded_sources[key] = source
-            return source
-        if limit_bits is None and self._record_source is not None:
-            return self._record_source
-        source = RecordSource(
-            codes,
-            weights,
-            dimension=self._schema.total_bits,
-            schema=self._schema,
-            deduplicate=False,
+        return count_source(
+            self,
+            backend,
             limit_bits=limit_bits,
+            shards=shards,
+            workers=workers,
+            executor=executor,
         )
-        if limit_bits is None:
-            self._record_source = source
-        return source
 
     def marginal(self, attributes: Union[int, Iterable[AttributeRef]]) -> np.ndarray:
         """Exact (non-private) marginal over ``attributes``.
 
         Served from the cached contingency table on narrow schemas and
         straight from the deduplicated record encoding on wide ones (where
-        the dense table cannot exist).
+        the dense table cannot exist).  One marginal is one pass over the
+        encoding, which partitioning into shards would cost again, so the
+        wide path never shards.
         """
         from repro.sources.base import DENSE_LIMIT_BITS
 
         if self._schema.total_bits <= DENSE_LIMIT_BITS:
             return self.contingency_table().marginal(attributes)
         mask = self._schema.resolve_mask(attributes)
-        return self.as_source(backend="record").marginal(mask)
+        return self.as_source(backend="record", shards=1).marginal(mask)
 
     # ------------------------------------------------------------------ #
     # manipulation helpers

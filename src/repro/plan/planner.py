@@ -98,19 +98,9 @@ class Planner:
 
     # ------------------------------------------------------------------ #
     @property
-    def workload(self) -> MarginalWorkload:
-        """The workload this planner answers."""
-        return self._workload
-
-    @property
     def strategy(self) -> Strategy:
         """The strategy this planner measures."""
         return self._strategy
-
-    @property
-    def non_uniform(self) -> bool:
-        """Whether the optimal non-uniform budgeting is used."""
-        return self._non_uniform
 
     @property
     def batches(self) -> Tuple[MarginalBatch, ...]:

@@ -266,16 +266,6 @@ class ShardedRecordSource(CountSource):
         return tuple(part[0].shape[0] for part in self._shards)
 
     @property
-    def workers(self) -> int:
-        """Worker pool size (1 means the shards run serially)."""
-        return self._workers
-
-    @property
-    def executor_kind(self) -> str:
-        """``"thread"`` or ``"process"``."""
-        return self._executor_kind
-
-    @property
     def shard_arrays(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
         """Per-shard ``(codes, weights)`` arrays (read-only views)."""
         out = []

@@ -23,7 +23,6 @@ from repro.sources.resolve import (
     check_backend,
     mapped_count_source,
     select_backend,
-    sharded_record_source,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "ensure_dense_allowed",
     "mapped_count_source",
     "select_backend",
-    "sharded_record_source",
 ]

@@ -2,19 +2,24 @@
 
 The engine accepts datasets, contingency tables, raw count vectors and
 ready-made count sources.  :func:`as_count_source` normalises any of them
-into a :class:`~repro.sources.base.CountSource` under a backend policy:
+into a :class:`~repro.sources.base.CountSource`; the three in-memory kinds
+all go through :func:`count_source`, the one place that picks their backend
+and shard layout, so one dataset gets one layout whichever kind holds it.
+The backend policy:
 
 * ``"auto"`` — dense at or below the dense limit (bit-for-bit the historical
   pipeline), record-native above it;
 * ``"dense"`` / ``"record"`` — explicit override (``"dense"`` raises a
   targeted :class:`~repro.exceptions.DataError` when the domain exceeds the
-  limit instead of attempting the ``2**d`` allocation).
+  limit instead of attempting the ``2**d`` allocation; a dense vector that
+  already exists is wrapped whatever the limit).
 
 On top of the backend policy sit the shard knobs: ``shards=`` / ``workers=``
 partition a record-native source into hash shards computed on a worker pool
 (:class:`~repro.shards.sharded.ShardedRecordSource`).  Left unset, sources
-auto-shard above :data:`~repro.shards.partition.AUTO_SHARD_RECORDS` records
-on multi-core machines.  Sharding never changes values: seeded releases are
+auto-shard at or above :data:`~repro.shards.partition.AUTO_SHARD_RECORDS`
+rows — the source's total count, the same for every input kind — on
+multi-core machines.  Sharding never changes values: seeded releases are
 bitwise identical for any shard and worker count.
 
 A :class:`str` / :class:`~pathlib.Path` input names an **encoded source
@@ -85,24 +90,56 @@ def select_backend(
     return "dense" if dimension <= limit else "record"
 
 
-def sharded_record_source(
-    source: RecordSource,
+def count_source(
+    data: Union[Dataset, ContingencyTable],
+    backend: str = "auto",
+    *,
+    limit_bits: Optional[int] = None,
     shards: Optional[int] = None,
     workers: Optional[int] = None,
-    *,
     executor: str = "thread",
 ) -> CountSource:
-    """Wrap a record source into shards when the resolved count exceeds 1.
+    """A dataset or a contingency table as a count source.
 
-    The shard count resolves from the source's distinct record count
-    (explicit ``shards`` / ``workers`` win; see
-    :func:`repro.shards.partition.resolve_shard_count`); a resolved count of
-    1 returns the source unchanged.
+    The backend comes from :func:`select_backend`, except that an explicit
+    ``"dense"`` wraps a dense vector that already exists (a table, or a
+    dataset's cached table) whatever the limit: wrapping allocates nothing,
+    and the limit guards only a dataset's new table build.  A record-native
+    source holds the dataset's deduplicated encoding or the table's non-zero
+    cells, and is split into
+    :func:`~repro.shards.partition.resolve_shard_count` hash shards of its
+    total count (explicit ``shards`` / ``workers`` win).
     """
-    from repro.shards.partition import resolve_shard_count
+    from repro.shards.partition import check_shard_knobs, resolve_shard_count
     from repro.shards.sharded import ShardedRecordSource
 
-    count = resolve_shard_count(source.distinct_records, shards, workers=workers)
+    check_shard_knobs(shards, workers)
+    schema = data.schema
+    if check_backend(backend) == "dense" and (shards is None or int(shards) <= 1):
+        resolved = "dense"
+    else:
+        resolved = select_backend(
+            schema.total_bits, backend, limit_bits=limit_bits, shards=shards
+        )
+    if resolved == "dense":
+        if isinstance(data, Dataset):
+            data = data.contingency_table(limit_bits=limit_bits)
+        return DenseCubeSource.from_table(data)
+    if isinstance(data, Dataset):
+        codes, weights = data.encoded_counts()
+        source = RecordSource(
+            codes,
+            weights,
+            dimension=schema.total_bits,
+            schema=schema,
+            deduplicate=False,
+            limit_bits=limit_bits,
+        )
+    else:
+        source = RecordSource.from_vector(
+            data.counts, schema.total_bits, schema=schema, limit_bits=limit_bits
+        )
+    count = resolve_shard_count(source.total, shards, workers=workers)
     if count <= 1:
         return source
     return ShardedRecordSource.from_record_source(
@@ -177,10 +214,10 @@ def as_count_source(
     shard-layout) choice, and overrides the policy and the shard knobs.  A
     ``str`` / ``Path`` names an encoded source directory, opened
     memory-mapped (``memory_budget`` caps its materialised batch roots;
-    the knob is ignored for inputs that are already in memory).
+    the knob is ignored for inputs that are already in memory).  Datasets,
+    tables and count vectors (wrapped as a table over the workload's schema,
+    sharing memory) resolve through :func:`count_source`.
     """
-    from repro.shards.partition import check_shard_knobs
-
     check_backend(backend)
     if isinstance(data, (str, Path)):
         return mapped_count_source(
@@ -192,9 +229,11 @@ def as_count_source(
             workers=workers,
             memory_budget=memory_budget,
         )
-    check_shard_knobs(shards, workers)
     schema = workload.schema
     if isinstance(data, CountSource):
+        from repro.shards.partition import check_shard_knobs
+
+        check_shard_knobs(shards, workers)
         if data.dimension != workload.dimension:
             raise WorkloadError(
                 f"count source over {data.dimension} bits does not match the "
@@ -204,56 +243,17 @@ def as_count_source(
         if source_schema is not None and source_schema != schema:
             raise WorkloadError("count source schema does not match the workload schema")
         return data
-    if isinstance(data, Dataset):
+    if isinstance(data, (Dataset, ContingencyTable)):
         if data.schema != schema:
-            raise WorkloadError("dataset schema does not match the workload schema")
-        return data.as_source(
-            backend=backend, limit_bits=limit_bits, shards=shards, workers=workers
-        )
-    if isinstance(data, ContingencyTable):
-        if data.schema != schema:
-            raise WorkloadError("table schema does not match the workload schema")
-        source = data.as_source(backend, limit_bits=limit_bits)
-        if isinstance(source, RecordSource):
-            return sharded_record_source(source, shards, workers)
-        return source
-    vector = np.asarray(data, dtype=np.float64)
-    if vector.ndim != 1 or vector.shape[0] != workload.domain_size:
-        raise WorkloadError(
-            f"count vector must have length {workload.domain_size}, got shape {vector.shape}"
-        )
-    resolved = materialised_backend(
-        workload.dimension, backend, limit_bits=limit_bits, shards=shards
+            kind = "dataset" if isinstance(data, Dataset) else "table"
+            raise WorkloadError(f"{kind} schema does not match the workload schema")
+    else:
+        vector = np.asarray(data, dtype=np.float64)
+        if vector.ndim != 1 or vector.shape[0] != workload.domain_size:
+            raise WorkloadError(
+                f"count vector must have length {workload.domain_size}, got shape {vector.shape}"
+            )
+        data = ContingencyTable(schema, vector, copy=False)
+    return count_source(
+        data, backend, limit_bits=limit_bits, shards=shards, workers=workers
     )
-    if resolved == "record":
-        return sharded_record_source(
-            RecordSource.from_vector(
-                vector, workload.dimension, schema=schema, limit_bits=limit_bits
-            ),
-            shards,
-            workers,
-        )
-    return DenseCubeSource(vector, workload.dimension, schema=schema)
-
-
-def materialised_backend(
-    dimension: int,
-    backend: str,
-    *,
-    limit_bits: Optional[int] = None,
-    shards: Optional[int] = None,
-) -> str:
-    """Backend choice for data that already exists densely in memory.
-
-    Wrapping an existing vector allocates nothing, so an explicit
-    ``"dense"`` is honoured even above the dense limit (the limit guards
-    *new* allocations); only the ``"auto"``/``"record"`` policies route
-    through :func:`select_backend`.  Shared by :func:`as_count_source` and
-    :meth:`repro.domain.contingency.ContingencyTable.as_source` so both
-    resolve ``"auto"`` identically.
-    """
-    if shards is not None and int(shards) > 1:
-        return select_backend(dimension, backend, limit_bits=limit_bits, shards=shards)
-    if check_backend(backend) == "dense":
-        return "dense"
-    return select_backend(dimension, backend, limit_bits=limit_bits)

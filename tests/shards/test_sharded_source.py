@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.engine import release_marginals
 from repro.domain import Dataset, Schema
 from repro.exceptions import DataError
-from repro.queries import MarginalQuery, MarginalWorkload
+from repro.queries import MarginalQuery, MarginalWorkload, all_k_way
 from repro.shards import (
     ShardedRecordSource,
     StreamingSourceBuilder,
@@ -26,7 +26,7 @@ from repro.shards import (
     resolve_worker_count,
     shard_of_codes,
 )
-from repro.sources import RecordSource
+from repro.sources import RecordSource, as_count_source
 
 SETTINGS = settings(
     max_examples=20,
@@ -54,6 +54,16 @@ def make_inputs(masks, rows):
         [[(code >> bit) & 1 for bit in range(D)] for code in rows], dtype=np.int64
     )
     return workload, Dataset(schema, records, name="sharded-equivalence")
+
+
+def one_dataset_three_ways():
+    """A workload and one dataset of 120 rows as a dataset, its table and
+    its count vector."""
+    schema = Schema.binary([f"a{i}" for i in range(D)])
+    records = np.random.default_rng(7).integers(0, 2, (120, D))
+    dataset = Dataset(schema, records)
+    table = dataset.contingency_table()
+    return all_k_way(schema, 2), (dataset, table, table.counts.copy())
 
 
 class TestPartition:
@@ -124,6 +134,36 @@ class TestPartition:
         assert source.shards == 4
         small = Dataset(schema, records[:10]).as_source(backend="record")
         assert isinstance(small, RecordSource)
+
+    @pytest.mark.parametrize("backend, shards", [("record", None), ("auto", 4)])
+    def test_one_layout_for_every_input_kind(self, monkeypatch, backend, shards):
+        """A dataset, its table and its count vector resolve to one layout:
+        the auto rule counts rows (120 rows, at most 32 distinct, against a
+        threshold of 50) and an explicit ``shards=`` holds for each kind."""
+        import repro.shards.partition as partition
+
+        monkeypatch.setattr(partition, "AUTO_SHARD_RECORDS", 50)
+        monkeypatch.setattr(partition, "_cpu_count", lambda: 4)
+        workload, kinds = one_dataset_three_ways()
+        sources = [
+            as_count_source(data, workload, backend, shards=shards) for data in kinds
+        ]
+        for source in sources:
+            assert isinstance(source, ShardedRecordSource)
+            assert source.shards == 4
+        full = (1 << D) - 1
+        work = [(full, tuple(range(1 << D)))]
+        reference = sources[0].marginals_for_batches(work)
+        for source in sources[1:]:
+            values = source.marginals_for_batches(work)
+            for mask in range(1 << D):
+                assert np.array_equal(values[mask], reference[mask])
+
+    def test_dense_refuses_shards_for_every_input_kind(self):
+        workload, kinds = one_dataset_three_ways()
+        for data in kinds:
+            with pytest.raises(DataError, match="dense backend"):
+                as_count_source(data, workload, "dense", shards=4)
 
 
 class TestShardedMarginalsMatchUnsharded:
