@@ -43,12 +43,13 @@ from repro.resilience.checkpoint import ReleaseCheckpoint
 from repro.queries.workload import MarginalWorkload
 from repro.recovery.consistency import make_consistent
 from repro.sources import (
-    DENSE_LIMIT_BITS,
     CountSource,
     as_count_source,
     check_backend,
+    dense_allowed,
     select_backend,
 )
+from repro.sources import base as _sources_base
 from repro.strategies.base import Strategy
 from repro.strategies.registry import make_strategy
 from repro.utils.rng import RngLike, ensure_rng
@@ -210,7 +211,10 @@ class MarginalReleaseEngine:
         policy = (
             f"policy {self._backend!r}"
             if self._backend != "auto"
-            else f"auto: dense up to 2**{DENSE_LIMIT_BITS} cells, record-native above"
+            else (
+                f"auto: dense up to 2**{_sources_base.DENSE_LIMIT_BITS} cells, "
+                "record-native above"
+            )
         )
         source = None
         if data is not None:
@@ -222,7 +226,7 @@ class MarginalReleaseEngine:
         if (
             source is None
             and self.resolved_backend == "dense"
-            and self._workload.dimension > DENSE_LIMIT_BITS
+            and not dense_allowed(self._workload.dimension)
         ):
             policy += "; exceeds the dense limit, dataset releases will fail"
         plan = self._planner.plan(_resolve_budget(budget), source=source)

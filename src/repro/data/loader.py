@@ -69,11 +69,10 @@ def load_csv(
     path: Union[str, Path],
     *,
     columns: Optional[Sequence[str]] = None,
-    delimiter: str = ",",
     has_header: bool = True,
     name: Optional[str] = None,
 ) -> Dataset:
-    """Load a delimited file of categorical columns into a :class:`Dataset`.
+    """Load a comma-separated file of categorical columns into a :class:`Dataset`.
 
     Parameters
     ----------
@@ -82,8 +81,6 @@ def load_csv(
     columns:
         Names of the columns to keep (all columns when ``None``).  When the
         file has no header, these must be ``"column_0"``, ``"column_1"``, ...
-    delimiter:
-        Field delimiter.
     has_header:
         Whether the first row holds column names.
     name:
@@ -93,7 +90,7 @@ def load_csv(
     if not file_path.exists():
         raise DataError(f"file not found: {file_path}")
     with file_path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(handle)
         rows = [row for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise DataError(f"{file_path} contains no records")
@@ -119,10 +116,9 @@ def infer_csv_schema(
     path: Union[str, Path],
     *,
     columns: Optional[Sequence[str]] = None,
-    delimiter: str = ",",
     has_header: bool = True,
 ) -> Schema:
-    """Infer a schema from a delimited file in one streaming pass.
+    """Infer a schema from a comma-separated file in one streaming pass.
 
     Memory is bounded by the number of *distinct* values per column (never
     the row count), so arbitrarily large files can be schema'd before being
@@ -134,7 +130,7 @@ def infer_csv_schema(
     if not file_path.exists():
         raise DataError(f"file not found: {file_path}")
     with file_path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(handle)
         positions: Optional[List[int]] = None
         wanted: Optional[List[str]] = None
         seen: List[set] = []
@@ -230,11 +226,10 @@ def iter_csv_batches(
     schema: Schema,
     *,
     columns: Optional[Sequence[str]] = None,
-    delimiter: str = ",",
     has_header: bool = True,
     batch_size: int = 50_000,
 ) -> Iterator[np.ndarray]:
-    """Stream a delimited file as encoded record batches over a fixed schema.
+    """Stream a comma-separated file as encoded record batches over a fixed schema.
 
     The streaming counterpart of :func:`load_csv` for datasets larger than
     memory: the file is read row by row and yielded as ``(rows, attributes)``
@@ -274,7 +269,7 @@ def iter_csv_batches(
     maps = [_attribute_code_map(schema.attribute(name)) for name in wanted]
     dtype = _batch_code_dtype(schema)
     with file_path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(handle)
         positions: Optional[List[int]] = None
         if not has_header:
             positions = list(range(len(wanted)))

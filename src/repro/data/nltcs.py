@@ -116,7 +116,7 @@ def synthetic_nltcs(
     return Dataset(NLTCS_SCHEMA, records, name="nltcs-synthetic")
 
 
-def load_nltcs_csv(path: Union[str, Path], *, delimiter: str = ",") -> Dataset:
+def load_nltcs_csv(path: Union[str, Path]) -> Dataset:
     """Load a real NLTCS file (one row per respondent, 16 binary columns).
 
     Accepts either 16 separate 0/1 columns or a single column holding the
@@ -127,7 +127,7 @@ def load_nltcs_csv(path: Union[str, Path], *, delimiter: str = ",") -> Dataset:
         raise DataError(f"NLTCS file not found at {file_path}")
     records = []
     with file_path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(handle)
         for row in reader:
             cells = [cell.strip() for cell in row if cell.strip() != ""]
             if not cells:

@@ -170,7 +170,7 @@ class ContingencyTable:
     # ------------------------------------------------------------------ #
     # conversions
     # ------------------------------------------------------------------ #
-    def as_source(self, backend: str = "auto", *, limit_bits=None):
+    def as_source(self, backend: str = "auto"):
         """The table as a :class:`~repro.sources.base.CountSource`.
 
         ``"dense"`` (and ``"auto"`` below the dense limit) wraps the existing
@@ -181,7 +181,7 @@ class ContingencyTable:
         """
         from repro.sources.resolve import count_source
 
-        return count_source(self, backend, limit_bits=limit_bits)
+        return count_source(self, backend)
 
     # ------------------------------------------------------------------ #
     # constructors

@@ -100,17 +100,17 @@ class Dataset:
             self._encoded = (unique, counts.astype(np.float64))
         return self._encoded
 
-    def contingency_table(self, *, limit_bits: Optional[int] = None) -> ContingencyTable:
+    def contingency_table(self) -> ContingencyTable:
         """The (cached) exact contingency table of the dataset.
 
         Raises :class:`DataError` when the dense ``2**d`` vector would exceed
-        the dense limit (``limit_bits`` overrides it for this call); wide
+        the dense limit (:data:`repro.sources.DENSE_LIMIT_BITS`); wide
         schemas go through :meth:`as_source` instead.
         """
         if self._table is None:
             from repro.sources.base import ensure_dense_allowed
 
-            ensure_dense_allowed(self._schema.total_bits, limit_bits=limit_bits)
+            ensure_dense_allowed(self._schema.total_bits)
             codes, weights = self.encoded_counts()
             counts = np.zeros(self._schema.domain_size, dtype=np.float64)
             counts[codes] = weights
@@ -125,7 +125,6 @@ class Dataset:
         self,
         backend: str = "auto",
         *,
-        limit_bits: Optional[int] = None,
         shards: Optional[int] = None,
         workers: Optional[int] = None,
         executor: str = "thread",
@@ -144,12 +143,7 @@ class Dataset:
         from repro.sources.resolve import count_source
 
         return count_source(
-            self,
-            backend,
-            limit_bits=limit_bits,
-            shards=shards,
-            workers=workers,
-            executor=executor,
+            self, backend, shards=shards, workers=workers, executor=executor
         )
 
     def marginal(self, attributes: Union[int, Iterable[AttributeRef]]) -> np.ndarray:
@@ -161,9 +155,9 @@ class Dataset:
         encoding, which partitioning into shards would cost again, so the
         wide path never shards.
         """
-        from repro.sources.base import DENSE_LIMIT_BITS
+        from repro.sources.base import dense_allowed
 
-        if self._schema.total_bits <= DENSE_LIMIT_BITS:
+        if dense_allowed(self._schema.total_bits):
             return self.contingency_table().marginal(attributes)
         mask = self._schema.resolve_mask(attributes)
         return self.as_source(backend="record", shards=1).marginal(mask)

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.domain.attribute import Attribute
-from repro.exceptions import DomainSizeError, ReproError, SchemaError
+from repro.exceptions import ReproError, SchemaError
 
 AttributeRef = Union[str, int, Attribute]
 
@@ -355,23 +355,6 @@ class Schema:
     def from_dict(cls, payload: dict) -> "Schema":
         """Rebuild a schema from :meth:`to_dict` output."""
         return cls(Attribute.from_dict(entry) for entry in payload["attributes"])
-
-    # ------------------------------------------------------------------ #
-    # guard rails
-    # ------------------------------------------------------------------ #
-    def check_dense_feasible(self, limit_bits: Optional[int] = None) -> None:
-        """Raise :class:`DomainSizeError` if a dense length-``N`` vector over this
-        schema would exceed ``2**limit_bits`` entries (default: the shared
-        :data:`repro.sources.base.DENSE_LIMIT_BITS`)."""
-        if limit_bits is None:
-            from repro.sources.base import DENSE_LIMIT_BITS
-
-            limit_bits = DENSE_LIMIT_BITS
-        if self._total_bits > limit_bits:
-            raise DomainSizeError(
-                f"domain of 2**{self._total_bits} cells exceeds the dense limit of "
-                f"2**{limit_bits}; use a smaller schema or raise the limit explicitly"
-            )
 
     @classmethod
     def binary(cls, names: Sequence[str]) -> "Schema":

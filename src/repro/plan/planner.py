@@ -42,9 +42,6 @@ class Planner:
         for classic uniform noise.
     query_weights:
         Optional per-query weights of the variance objective.
-    max_batch_bits:
-        Optional cap on the root-union order of the marginal kernel's
-        batches (defaults to :func:`repro.plan.lattice.default_batch_bits`).
     """
 
     def __init__(
@@ -54,7 +51,6 @@ class Planner:
         *,
         non_uniform: bool = True,
         query_weights: Optional[Sequence[float]] = None,
-        max_batch_bits: Optional[int] = None,
     ):
         if strategy.workload is not workload and strategy.workload.masks != workload.masks:
             raise WorkloadError("the strategy was built for a different workload")
@@ -92,9 +88,7 @@ class Planner:
                 if self._groups.masks != tuple(masks):
                     self._groups = self._groups.replace(masks=masks)
         if self._kind == "marginal":
-            self._batches = plan_marginal_batches(
-                self._groups.masks, workload.dimension, max_bits=max_batch_bits
-            )
+            self._batches = plan_marginal_batches(self._groups.masks, workload.dimension)
 
     # ------------------------------------------------------------------ #
     @property

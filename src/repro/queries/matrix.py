@@ -21,16 +21,18 @@ from repro.utils.bits import hamming_weight, popcount_array
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.queries.workload import MarginalWorkload
 
-#: Largest dimension for which dense matrices are built without an explicit
-#: override.  ``2**_DENSE_LIMIT_BITS`` columns is the guard rail.
-_DENSE_LIMIT_BITS = 20
+#: Largest dimension for which dense operator matrices are built:
+#: ``2**_MATRIX_LIMIT_BITS`` columns is the guard rail.  Tighter than the
+#: count-vector limit of :mod:`repro.sources.base`, because a matrix has
+#: many rows per column.
+_MATRIX_LIMIT_BITS = 20
 
 
-def _check_dense(d: int, limit_bits: int = _DENSE_LIMIT_BITS) -> None:
-    if d > limit_bits:
+def _check_dense(d: int) -> None:
+    if d > _MATRIX_LIMIT_BITS:
         raise DomainSizeError(
             f"refusing to materialise a dense matrix with 2**{d} columns "
-            f"(limit 2**{limit_bits}); use the implicit operators instead"
+            f"(limit 2**{_MATRIX_LIMIT_BITS}); use the implicit operators instead"
         )
 
 

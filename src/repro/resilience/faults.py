@@ -260,9 +260,13 @@ def fire(site: str, **context: object) -> None:
 def fault_injection(plan: FaultPlan) -> Iterator[FaultInjector]:
     """Activate ``plan`` for a ``with`` block, restoring prior state after.
 
-    >>> with fault_injection(FaultPlan([FaultSpec("shards.task", hits=(1,))])) as inj:
-    ...     ...  # first shard task raises TransientFault, retry layer recovers
-    ... assert inj.injected("shards.task") == 1
+    >>> from repro.resilience.retry import DEFAULT_RETRY_POLICY
+    >>> plan = FaultPlan([FaultSpec("shards.task", hits=(1,))])
+    >>> with fault_injection(plan) as inj:
+    ...     # The first hit raises TransientFault; the retry layer re-runs it.
+    ...     DEFAULT_RETRY_POLICY.run(fire, "shards.task")
+    >>> inj.injected("shards.task")
+    1
     """
     global ENABLED, _INJECTOR
     previous = (ENABLED, _INJECTOR)

@@ -91,8 +91,3 @@ class AnswerCache:
         """Drop every entry (the counters are kept)."""
         with self._lock:
             self._entries.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction counters."""
-        with self._lock:
-            self._stats = CacheStats(metric_prefix="serving.cache")

@@ -15,7 +15,7 @@ exactly once, every request in it that carries a predicate is answered by
 one vectorised gather over the shared aggregate
 (:func:`~repro.serving.planner.slice_marginal_batch`), and independent
 groups are dispatched concurrently on the shared :mod:`repro.shards` thread
-pool so multi-cuboid batches overlap I/O on memory-mapped v2 stores.
+pool so multi-cuboid batches overlap I/O on memory-mapped stores.
 
 Routing state lives in an immutable per-generation snapshot that writers
 replace under one lock (copy-on-write), so the many threads of the HTTP tier

@@ -44,7 +44,7 @@ import numpy as np
 from repro.exceptions import DataError
 from repro.obs import runtime as _obs
 from repro.resilience import faults as _faults
-from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.resilience.retry import DEFAULT_RETRY_POLICY
 from repro.shards.partition import (
     partition_codes,
     resolve_worker_count,
@@ -56,7 +56,7 @@ from repro.shards.pool import (
     rebuild_pool,
     shard_error,
 )
-from repro.sources.base import CountSource, ensure_dense_allowed
+from repro.sources.base import CountSource, dense_allowed, ensure_dense_allowed
 from repro.sources.record import (
     RecordSource,
     StackedMarginals,
@@ -118,11 +118,12 @@ class ShardedRecordSource(CountSource):
         the shards serially (still sharded, still bitwise identical).
     executor:
         ``"thread"`` (default) or ``"process"`` — see :mod:`repro.shards.pool`.
-    retry_policy:
-        :class:`~repro.resilience.retry.RetryPolicy` applied per shard task
-        at the dispatch layer (default: three immediate attempts on
-        transient failures).  Retried tasks are pure and results are summed
-        in fixed shard order, so recovered runs stay bitwise identical.
+
+    Each shard task runs under
+    :data:`~repro.resilience.retry.DEFAULT_RETRY_POLICY` at the dispatch
+    layer (three immediate attempts on transient failures).  Retried tasks
+    are pure and results are summed in fixed shard order, so recovered runs
+    stay bitwise identical.
     """
 
     backend = "sharded-record"
@@ -138,8 +139,6 @@ class ShardedRecordSource(CountSource):
         executor: str = "thread",
         schema: Optional["Schema"] = None,
         deduplicate: bool = True,
-        limit_bits: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ):
         # Reuse the unsharded source's validation + dedup, then partition.
         base = RecordSource(
@@ -148,7 +147,6 @@ class ShardedRecordSource(CountSource):
             dimension=dimension,
             schema=schema,
             deduplicate=deduplicate,
-            limit_bits=limit_bits,
         )
         self._init_from_arrays(
             base.codes,
@@ -157,7 +155,6 @@ class ShardedRecordSource(CountSource):
             shards=shards,
             workers=workers,
             executor=executor,
-            retry_policy=retry_policy,
         )
 
     def _init_from_arrays(
@@ -169,14 +166,12 @@ class ShardedRecordSource(CountSource):
         shards: int,
         workers: Optional[int],
         executor: str,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         shard_count = int(shards)
         if shard_count < 1:
             raise DataError(f"shard count must be at least 1, got {shards}")
         self._d = base.dimension
         self._schema = base.schema
-        self._limit_bits = base.limit_bits
         self._shards: Tuple[Tuple[np.ndarray, np.ndarray], ...] = tuple(
             partition_codes(np.asarray(codes), np.asarray(weights), shard_count)
         )
@@ -185,7 +180,6 @@ class ShardedRecordSource(CountSource):
         self._total = float(sum(float(part[1].sum()) for part in self._shards))
         self._workers = resolve_worker_count(shard_count, workers)
         self._executor_kind = check_executor_kind(executor)
-        self._retry = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -198,7 +192,6 @@ class ShardedRecordSource(CountSource):
         shards: int,
         workers: Optional[int] = None,
         executor: str = "thread",
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> "ShardedRecordSource":
         """Shard an existing record source (codes are already deduplicated)."""
         instance = cls.__new__(cls)
@@ -209,7 +202,6 @@ class ShardedRecordSource(CountSource):
             shards=shards,
             workers=workers,
             executor=executor,
-            retry_policy=retry_policy,
         )
         return instance
 
@@ -222,7 +214,6 @@ class ShardedRecordSource(CountSource):
         shards: int,
         workers: Optional[int] = None,
         executor: str = "thread",
-        limit_bits: Optional[int] = None,
     ) -> "ShardedRecordSource":
         """Encode, deduplicate and shard a record matrix over ``schema``."""
         codes = schema.encode_records(records)
@@ -233,7 +224,6 @@ class ShardedRecordSource(CountSource):
             shards=shards,
             workers=workers,
             executor=executor,
-            limit_bits=limit_bits,
         )
 
     # ------------------------------------------------------------------ #
@@ -330,7 +320,7 @@ class ShardedRecordSource(CountSource):
 
         * a shard task failing with a transient error (injected
           :class:`~repro.exceptions.TransientFault` or real ``OSError``) is
-          resubmitted under the source's retry policy;
+          resubmitted under the default retry policy;
         * a :class:`~concurrent.futures.process.BrokenProcessPool` (a worker
           died) rebuilds the shared pool **once** and replays every
           in-flight shard on the fresh pool;
@@ -340,7 +330,7 @@ class ShardedRecordSource(CountSource):
         """
         totals: Optional[StackedMarginals] = None
         kernel = self._shard_kernel_callable()
-        policy = self._retry
+        policy = DEFAULT_RETRY_POLICY
         if _obs.ENABLED:
             _obs.counter_inc("shards.tasks", len(self._shards))
             _obs.gauge_set("shards.workers", self._workers)
@@ -378,7 +368,7 @@ class ShardedRecordSource(CountSource):
     ) -> StackedMarginals:
         """Resolve one in-flight shard, retrying transients and rebuilding a
         broken pool (once) with the whole pending window replayed."""
-        policy = self._retry
+        policy = DEFAULT_RETRY_POLICY
         attempts = 1
         while True:
             try:
@@ -465,12 +455,10 @@ class ShardedRecordSource(CountSource):
     def marginals_for_batches(
         self, batches: Sequence[Tuple[int, Sequence[int]]]
     ) -> Dict[int, np.ndarray]:
-        return checked_worklist_marginals(
-            self, batches, self._reduce_shards, limit_bits=self._limit_bits
-        )
+        return checked_worklist_marginals(self, batches, self._reduce_shards)
 
     def dense_vector(self) -> np.ndarray:
-        ensure_dense_allowed(self._d, limit_bits=self._limit_bits)
+        ensure_dense_allowed(self._d)
         total = np.zeros(self.domain_size, dtype=np.float64)
         for codes, weights in self._shards:
             total += np.bincount(
@@ -500,4 +488,4 @@ class ShardedRecordSource(CountSource):
         )
 
     def can_materialise(self, mask: int) -> bool:
-        return hamming_weight(mask) <= self._limit_bits
+        return dense_allowed(hamming_weight(mask))

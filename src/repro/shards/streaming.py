@@ -61,8 +61,6 @@ class StreamingSourceBuilder:
     dimension:
         Number of binary attributes ``d``; inferred from ``schema`` when
         omitted.
-    limit_bits:
-        Per-cuboid dense limit forwarded to the built source.
     merge_threshold:
         Buffered-entry count that triggers a run merge (default
         :data:`DEFAULT_MERGE_THRESHOLD`).
@@ -83,7 +81,6 @@ class StreamingSourceBuilder:
         schema: Optional["Schema"] = None,
         *,
         dimension: Optional[int] = None,
-        limit_bits: Optional[int] = None,
         merge_threshold: int = DEFAULT_MERGE_THRESHOLD,
         memory_budget: Optional[Union[int, str]] = None,
         spill_dir: Optional[Union[str, Path]] = None,
@@ -105,7 +102,6 @@ class StreamingSourceBuilder:
             )
         self._schema = schema
         self._d = d
-        self._limit_bits = limit_bits
         self._merge_threshold = int(merge_threshold)
         self._memory_budget = parse_memory_budget(memory_budget)
         if self._memory_budget is not None:
@@ -227,7 +223,6 @@ class StreamingSourceBuilder:
         path: Union[str, Path],
         *,
         columns: Optional[Sequence[str]] = None,
-        delimiter: str = ",",
         has_header: bool = True,
         batch_size: int = 50_000,
     ) -> "StreamingSourceBuilder":
@@ -241,7 +236,6 @@ class StreamingSourceBuilder:
                 path,
                 self._schema,
                 columns=columns,
-                delimiter=delimiter,
                 has_header=has_header,
                 batch_size=batch_size,
             ):
@@ -367,7 +361,6 @@ class StreamingSourceBuilder:
             workers=workers,
             executor=executor,
             deduplicate=False,
-            limit_bits=self._limit_bits,
         )
 
     def write_store(
@@ -417,5 +410,4 @@ class StreamingSourceBuilder:
             dimension=self._d,
             schema=self._schema,
             deduplicate=False,
-            limit_bits=self._limit_bits,
         )

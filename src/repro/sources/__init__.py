@@ -13,6 +13,7 @@ backend measured them.
 from repro.sources.base import (
     DENSE_LIMIT_BITS,
     CountSource,
+    dense_allowed,
     ensure_dense_allowed,
 )
 from repro.sources.dense import DenseCubeSource
@@ -34,6 +35,7 @@ __all__ = [
     "RecordSource",
     "as_count_source",
     "check_backend",
+    "dense_allowed",
     "ensure_dense_allowed",
     "mapped_count_source",
     "select_backend",

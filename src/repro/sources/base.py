@@ -40,30 +40,36 @@ from repro.fourier.index import submasks_array
 from repro.fourier.kernels import fwht_inplace
 from repro.utils.bits import hamming_weight, popcount_array
 
-#: Largest dimension for which a dense ``2**d`` float64 allocation is allowed
-#: without an explicit override: ``2**26`` cells is 512 MiB.  Above this the
-#: library refuses to materialise dense vectors/cuboids and points the caller
-#: at the record-native backend instead of dying with a ``MemoryError``.
+#: Largest dimension for which a dense ``2**d`` float64 allocation is allowed:
+#: ``2**26`` cells is 512 MiB.  Above this the library refuses to materialise
+#: dense vectors/cuboids and points the caller at the record-native backend
+#: instead of dying with a ``MemoryError``.  It is one policy, not a per-call
+#: option: every guard reads it through :func:`dense_allowed`.
 DENSE_LIMIT_BITS = 26
 
 
-def ensure_dense_allowed(
-    bits: int, *, limit_bits: Optional[int] = None, what: str = "a dense count vector"
-) -> None:
+def dense_allowed(bits: int) -> bool:
+    """Whether ``2**bits`` cells are within the dense limit.
+
+    Reads :data:`DENSE_LIMIT_BITS` on every call, so moving that one
+    attribute moves every dense guard.
+    """
+    return bits <= DENSE_LIMIT_BITS
+
+
+def ensure_dense_allowed(bits: int, *, what: str = "a dense count vector") -> None:
     """Raise :class:`DomainSizeError` (a :class:`DataError`) when ``2**bits``
     cells exceed the dense limit.
 
     This replaces the silent ``MemoryError``-prone allocations of the dense
     pipeline with a targeted error that names the record-native escape hatch,
-    using the same exception type as the pre-existing dense guards
-    (:meth:`repro.domain.schema.Schema.check_dense_feasible`,
-    :mod:`repro.queries.matrix`).
+    using the same exception type as the dense-matrix guard of
+    :mod:`repro.queries.matrix`.
     """
-    limit = DENSE_LIMIT_BITS if limit_bits is None else int(limit_bits)
-    if bits > limit:
+    if not dense_allowed(bits):
         raise DomainSizeError(
             f"refusing to materialise {what} with 2**{bits} cells "
-            f"(dense limit 2**{limit}); use the record-native backend "
+            f"(dense limit 2**{DENSE_LIMIT_BITS}); use the record-native backend "
             "(Dataset.as_source(backend='record') / RecordSource, or "
             "backend='record' on the release engine) which never allocates "
             "the full domain"

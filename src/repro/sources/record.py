@@ -46,8 +46,8 @@ from repro.exceptions import DataError
 from repro.fourier.index import project_indices
 from repro.obs import runtime as _obs
 from repro.sources.base import (
-    DENSE_LIMIT_BITS,
     CountSource,
+    dense_allowed,
     ensure_dense_allowed,
     validate_count_vector,
 )
@@ -436,8 +436,6 @@ def checked_worklist_marginals(
     source: CountSource,
     batches: Sequence[Tuple[int, Sequence[int]]],
     compute: Callable[[List[Tuple[int, Tuple[int, ...]]]], Dict[int, np.ndarray]],
-    *,
-    limit_bits: int,
 ) -> Dict[int, np.ndarray]:
     """The ``marginals_for_batches`` of the record backends: validate every
     mask, then hand ``compute`` ONE worklist that names each member once.
@@ -455,9 +453,9 @@ def checked_worklist_marginals(
     if masks and (
         min(masks) < 0
         or max(masks) >= source.domain_size
-        or (unique and int(popcount_array(np.array(unique)).max()) > limit_bits)
+        or (unique and not dense_allowed(int(popcount_array(np.array(unique)).max())))
     ):
-        _raise_for_masks(source, batches, limit_bits)
+        _raise_for_masks(source, batches)
     seen: set = set()
     work: List[Tuple[int, Tuple[int, ...]]] = []
     for root, members in zip(roots, member_lists):
@@ -469,7 +467,7 @@ def checked_worklist_marginals(
 
 
 def _raise_for_masks(
-    source: CountSource, batches: Sequence[Tuple[int, Sequence[int]]], limit_bits: int
+    source: CountSource, batches: Sequence[Tuple[int, Sequence[int]]]
 ) -> None:
     """Check each mask of a worklist in turn; raises for the first bad one."""
     seen = set()
@@ -481,7 +479,6 @@ def _raise_for_masks(
                 seen.add(member)
                 ensure_dense_allowed(
                     hamming_weight(member),
-                    limit_bits=limit_bits,
                     what=f"the cuboid marginal {member:#x}",
                 )
 
@@ -503,10 +500,10 @@ class RecordSource(CountSource):
     deduplicate:
         Collapse duplicate codes into one entry with summed weights
         (default).  Pass ``False`` when the caller already aggregated.
-    limit_bits:
-        Per-cuboid dense limit (defaults to
-        :data:`~repro.sources.base.DENSE_LIMIT_BITS`): requesting a marginal
-        or dense vector wider than this raises :class:`DataError`.
+
+    Requesting a marginal or dense vector wider than the dense limit
+    (:data:`~repro.sources.base.DENSE_LIMIT_BITS`) raises
+    :class:`~repro.exceptions.DomainSizeError`.
     """
 
     backend = "record"
@@ -519,7 +516,6 @@ class RecordSource(CountSource):
         dimension: int,
         schema: Optional["Schema"] = None,
         deduplicate: bool = True,
-        limit_bits: Optional[int] = None,
     ):
         d = int(dimension)
         if not (1 <= d <= MAX_RECORD_BITS):
@@ -551,7 +547,6 @@ class RecordSource(CountSource):
         self._weights = weight_array
         self._d = d
         self._schema = schema
-        self._limit_bits = DENSE_LIMIT_BITS if limit_bits is None else int(limit_bits)
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -561,14 +556,10 @@ class RecordSource(CountSource):
         cls,
         schema: "Schema",
         records: Union[np.ndarray, Sequence[Sequence[int]]],
-        *,
-        limit_bits: Optional[int] = None,
     ) -> "RecordSource":
         """Encode and deduplicate a record matrix over ``schema``."""
         codes = schema.encode_records(records)
-        return cls(
-            codes, dimension=schema.total_bits, schema=schema, limit_bits=limit_bits
-        )
+        return cls(codes, dimension=schema.total_bits, schema=schema)
 
     @classmethod
     def from_vector(
@@ -577,19 +568,11 @@ class RecordSource(CountSource):
         dimension: Optional[int] = None,
         *,
         schema: Optional["Schema"] = None,
-        limit_bits: Optional[int] = None,
     ) -> "RecordSource":
         """Build a record source from the non-zero cells of a dense vector."""
         array, d = validate_count_vector(vector, dimension)
         codes = np.flatnonzero(array)
-        return cls(
-            codes,
-            array[codes],
-            dimension=d,
-            schema=schema,
-            deduplicate=False,
-            limit_bits=limit_bits,
-        )
+        return cls(codes, array[codes], dimension=d, schema=schema, deduplicate=False)
 
     # ------------------------------------------------------------------ #
     @property
@@ -621,11 +604,6 @@ class RecordSource(CountSource):
         return int(self._codes.shape[0])
 
     @property
-    def limit_bits(self) -> int:
-        """Per-cuboid dense limit this source enforces."""
-        return self._limit_bits
-
-    @property
     def total(self) -> float:
         return float(self._weights.sum())
 
@@ -648,9 +626,7 @@ class RecordSource(CountSource):
     def marginals_for_batches(
         self, batches: Sequence[Tuple[int, Sequence[int]]]
     ) -> Dict[int, np.ndarray]:
-        return checked_worklist_marginals(
-            self, batches, self._compute, limit_bits=self._limit_bits
-        )
+        return checked_worklist_marginals(self, batches, self._compute)
 
     def _compute(
         self, work: List[Tuple[int, Tuple[int, ...]]]
@@ -666,7 +642,7 @@ class RecordSource(CountSource):
             return worklist_marginals(self._codes, self._weights, work)
 
     def dense_vector(self) -> np.ndarray:
-        ensure_dense_allowed(self._d, limit_bits=self._limit_bits)
+        ensure_dense_allowed(self._d)
         return np.bincount(
             self._codes, weights=self._weights, minlength=self.domain_size
         ).astype(np.float64, copy=False)
@@ -683,4 +659,4 @@ class RecordSource(CountSource):
         )
 
     def can_materialise(self, mask: int) -> bool:
-        return hamming_weight(mask) <= self._limit_bits
+        return dense_allowed(hamming_weight(mask))

@@ -41,7 +41,7 @@ from repro.domain.contingency import ContingencyTable
 from repro.domain.dataset import Dataset
 from repro.exceptions import DataError, WorkloadError
 from repro.queries.workload import MarginalWorkload
-from repro.sources.base import DENSE_LIMIT_BITS, CountSource, ensure_dense_allowed
+from repro.sources.base import CountSource, dense_allowed, ensure_dense_allowed
 from repro.sources.dense import DenseCubeSource
 from repro.sources.record import RecordSource
 
@@ -62,7 +62,6 @@ def select_backend(
     dimension: int,
     backend: str = "auto",
     *,
-    limit_bits: Optional[int] = None,
     shards: Optional[int] = None,
 ) -> str:
     """Resolve a backend policy into a concrete backend for ``d`` bits.
@@ -74,7 +73,6 @@ def select_backend(
     are partitions of the record arrays) and conflicts with ``"dense"``.
     """
     check_backend(backend)
-    limit = DENSE_LIMIT_BITS if limit_bits is None else int(limit_bits)
     if shards is not None and int(shards) > 1:
         if backend == "dense":
             raise DataError(
@@ -85,16 +83,15 @@ def select_backend(
     if backend == "record":
         return "record"
     if backend == "dense":
-        ensure_dense_allowed(dimension, limit_bits=limit)
+        ensure_dense_allowed(dimension)
         return "dense"
-    return "dense" if dimension <= limit else "record"
+    return "dense" if dense_allowed(dimension) else "record"
 
 
 def count_source(
     data: Union[Dataset, ContingencyTable],
     backend: str = "auto",
     *,
-    limit_bits: Optional[int] = None,
     shards: Optional[int] = None,
     workers: Optional[int] = None,
     executor: str = "thread",
@@ -118,12 +115,10 @@ def count_source(
     if check_backend(backend) == "dense" and (shards is None or int(shards) <= 1):
         resolved = "dense"
     else:
-        resolved = select_backend(
-            schema.total_bits, backend, limit_bits=limit_bits, shards=shards
-        )
+        resolved = select_backend(schema.total_bits, backend, shards=shards)
     if resolved == "dense":
         if isinstance(data, Dataset):
-            data = data.contingency_table(limit_bits=limit_bits)
+            data = data.contingency_table()
         return DenseCubeSource.from_table(data)
     if isinstance(data, Dataset):
         codes, weights = data.encoded_counts()
@@ -133,12 +128,9 @@ def count_source(
             dimension=schema.total_bits,
             schema=schema,
             deduplicate=False,
-            limit_bits=limit_bits,
         )
     else:
-        source = RecordSource.from_vector(
-            data.counts, schema.total_bits, schema=schema, limit_bits=limit_bits
-        )
+        source = RecordSource.from_vector(data.counts, schema.total_bits, schema=schema)
     count = resolve_shard_count(source.total, shards, workers=workers)
     if count <= 1:
         return source
@@ -152,7 +144,6 @@ def mapped_count_source(
     workload: MarginalWorkload,
     backend: str = "auto",
     *,
-    limit_bits: Optional[int] = None,
     shards: Optional[int] = None,
     workers: Optional[int] = None,
     memory_budget: Optional[Union[int, str]] = None,
@@ -176,12 +167,7 @@ def mapped_count_source(
             "the on-disk layout of an encoded source fixes its shard count; "
             "drop the shards= knob (workers= still applies)"
         )
-    source = open_source(
-        path,
-        workers=workers,
-        limit_bits=limit_bits,
-        memory_budget=memory_budget,
-    )
+    source = open_source(path, workers=workers, memory_budget=memory_budget)
     if source.dimension != workload.dimension:
         raise WorkloadError(
             f"encoded source {Path(path)} spans {source.dimension} bits; the "
@@ -202,7 +188,6 @@ def as_count_source(
     workload: MarginalWorkload,
     backend: str = "auto",
     *,
-    limit_bits: Optional[int] = None,
     shards: Optional[int] = None,
     workers: Optional[int] = None,
     memory_budget: Optional[Union[int, str]] = None,
@@ -224,7 +209,6 @@ def as_count_source(
             data,
             workload,
             backend,
-            limit_bits=limit_bits,
             shards=shards,
             workers=workers,
             memory_budget=memory_budget,
@@ -254,6 +238,4 @@ def as_count_source(
                 f"count vector must have length {workload.domain_size}, got shape {vector.shape}"
             )
         data = ContingencyTable(schema, vector, copy=False)
-    return count_source(
-        data, backend, limit_bits=limit_bits, shards=shards, workers=workers
-    )
+    return count_source(data, backend, shards=shards, workers=workers)

@@ -311,7 +311,6 @@ def open_source(
     path: Union[str, Path],
     *,
     workers: Optional[int] = None,
-    limit_bits: Optional[int] = None,
     memory_budget: Optional[Union[int, str]] = None,
     verify: bool = False,
 ) -> MappedRecordSource:
@@ -357,7 +356,6 @@ def open_source(
             dimension=int(manifest["dimension"]),
             schema=schema,
             workers=workers,
-            limit_bits=limit_bits,
             memory_budget=budget_bytes,
             distinct_records=int(manifest["distinct"]),
             total_weight=float(manifest["total_weight"]),

@@ -30,10 +30,8 @@ import numpy as np
 from repro.exceptions import DataError
 from repro.obs import runtime as _obs
 from repro.resilience import faults as _faults
-from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.shards.partition import resolve_worker_count
 from repro.shards.sharded import ShardedRecordSource, Worklist
-from repro.sources.base import DENSE_LIMIT_BITS
 from repro.sources.record import MAX_RECORD_BITS, StackedMarginals, worklist_marginals
 from repro.store.layout import release_pages
 
@@ -94,13 +92,11 @@ class MappedRecordSource(ShardedRecordSource):
         dimension: int,
         schema: Optional[object] = None,
         workers: Optional[int] = None,
-        limit_bits: Optional[int] = None,
         memory_budget: Optional[int] = None,
         distinct_records: Optional[int] = None,
         total_weight: Optional[float] = None,
         root: Optional[Path] = None,
         bytes_mapped: int = 0,
-        retry_policy: Optional[RetryPolicy] = None,
     ):
         d = int(dimension)
         if not (1 <= d <= MAX_RECORD_BITS):
@@ -112,7 +108,6 @@ class MappedRecordSource(ShardedRecordSource):
             raise DataError("a mapped source needs at least one shard")
         self._d = d
         self._schema = schema
-        self._limit_bits = DENSE_LIMIT_BITS if limit_bits is None else int(limit_bits)
         self._shards = shards
         self._largest_shard = max(self.shard_sizes)
         self._distinct = (
@@ -132,7 +127,6 @@ class MappedRecordSource(ShardedRecordSource):
         self._memory_budget = None if memory_budget is None else int(memory_budget)
         self._root = Path(root) if root is not None else None
         self._bytes_mapped = int(bytes_mapped)
-        self._retry = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
 
     # ------------------------------------------------------------------ #
     @property

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.domain.attribute import Attribute
+from repro.domain.dataset import Dataset
 from repro.domain.schema import Schema
 from repro.exceptions import DomainSizeError, SchemaError
+from repro.sources import base
 
 
 class TestConstruction:
@@ -146,8 +148,11 @@ class TestRecordEncoding:
 class TestGuards:
     def test_dense_limit(self):
         schema = Schema([Attribute(f"b{i}", 2) for i in range(30)])
+        dataset = Dataset(schema, np.zeros((1, 30), dtype=np.int64))
         with pytest.raises(DomainSizeError):
-            schema.check_dense_feasible(limit_bits=26)
+            dataset.contingency_table()
 
-    def test_dense_limit_passes_for_small(self, mixed_schema):
-        mixed_schema.check_dense_feasible(limit_bits=10)
+    def test_dense_limit_passes_for_small(self, mixed_schema, monkeypatch):
+        monkeypatch.setattr(base, "DENSE_LIMIT_BITS", 10)
+        dataset = Dataset(mixed_schema, np.zeros((1, len(mixed_schema)), dtype=np.int64))
+        assert dataset.contingency_table().counts.shape == (mixed_schema.domain_size,)

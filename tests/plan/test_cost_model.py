@@ -17,10 +17,10 @@ from repro.domain import Dataset, Schema
 from repro.mechanisms import PrivacyBudget
 from repro.obs import tracing
 from repro.plan import BatchCost, Planner, batched_marginals, cost_marginal_batches
-from repro.plan.lattice import MarginalBatch
+from repro.plan.lattice import MarginalBatch, plan_marginal_batches
 from repro.queries import all_k_way
 from repro.shards import ShardedRecordSource
-from repro.sources import DenseCubeSource, RecordSource
+from repro.sources import DenseCubeSource, RecordSource, base
 from repro.sources.record import pair_kernel_cost
 from repro.strategies import query_strategy
 
@@ -64,15 +64,14 @@ class TestDecisions:
         (cost,) = cost_marginal_batches(source, [batch])
         assert cost.use_root
 
-    def test_root_beyond_the_dense_limit_is_never_chosen(self):
+    def test_root_beyond_the_dense_limit_is_never_chosen(self, monkeypatch):
         """Regression: a cheap-looking root the source would refuse to
-        materialise (wider than limit_bits) must not be selected — the
+        materialise (wider than the dense limit) must not be selected — the
         executor would otherwise hit the DataError mid-release."""
-        # With 4096 records a 4-bit root (16 cells) is far cheaper than two
-        # direct passes, but limit_bits=3 makes it unmaterialisable.
-        source = RecordSource(
-            np.arange(200, dtype=np.int64), dimension=D, limit_bits=3
-        )
+        # With 200 records a 4-bit root (16 cells) is far cheaper than two
+        # direct passes, but a 3-bit dense limit makes it unmaterialisable.
+        monkeypatch.setattr(base, "DENSE_LIMIT_BITS", 3)
+        source = RecordSource(np.arange(200, dtype=np.int64), dimension=D)
         batch = MarginalBatch(root=0b1111, members=(0b11, 0b1100))
         (cost,) = cost_marginal_batches(source, [batch])
         assert cost.root_cost < cost.direct_cost  # estimate alone says root
@@ -141,11 +140,13 @@ class TestArrayPricing:
 
     @pytest.mark.parametrize("layout", ["dense", "record", "serial-shards", "parallel-shards"])
     @pytest.mark.parametrize("bits", [None, 3, 5])
-    def test_matches_per_member_pricing(self, dataset, layout, bits):
+    def test_matches_per_member_pricing(self, dataset, layout, bits, monkeypatch):
         codes, weights = dataset.encoded_counts()
+        if layout == "record":
+            monkeypatch.setattr(base, "DENSE_LIMIT_BITS", 4)
         source = {
             "dense": lambda: dataset.as_source(backend="dense"),
-            "record": lambda: RecordSource(codes, weights, dimension=D, limit_bits=4),
+            "record": lambda: RecordSource(codes, weights, dimension=D),
             "serial-shards": lambda: ShardedRecordSource(
                 codes, weights, dimension=D, shards=3, workers=1
             ),
@@ -154,7 +155,8 @@ class TestArrayPricing:
             ),
         }[layout]()
         workload = all_k_way(dataset.schema, 3)
-        batches = Planner(workload, query_strategy(workload), max_batch_bits=bits).batches
+        masks = query_strategy(workload).query_masks()
+        batches = plan_marginal_batches(masks, workload.dimension, max_bits=bits)
         assert cost_marginal_batches(source, batches) == per_member_costs(source, batches)
 
     def test_scalar_hooks_keep_their_formulas(self):

@@ -19,8 +19,7 @@ from repro.core.engine import release_marginals
 from repro.data import synthetic_nltcs
 from repro.exceptions import ShardError
 from repro.queries import all_k_way
-from repro.resilience import FaultPlan, FaultSpec, RetryPolicy, fault_injection
-from repro.shards.sharded import ShardedRecordSource
+from repro.resilience import FaultPlan, FaultSpec, fault_injection
 from repro.store import open_source, write_source
 
 
@@ -159,19 +158,6 @@ class TestStoreRecovery:
         with fault_injection(plan):
             with pytest.raises(TransientFault):
                 list(merge_sorted_runs(runs, chunk_entries=32))
-
-
-class TestRetryPolicyThreading:
-    def test_custom_policy_reaches_the_dispatch_layer(self, inputs):
-        dataset, workload = inputs
-        base = dataset.as_source(backend="record")
-        source = ShardedRecordSource.from_record_source(
-            base, shards=4, workers=2, retry_policy=RetryPolicy(max_attempts=1)
-        )
-        plan = FaultPlan([FaultSpec("shards.task", hits=(1,))])
-        with fault_injection(plan):
-            with pytest.raises(ShardError, match="1 attempt"):
-                release_marginals(source, workload, budget=1.0, strategy="Q", rng=21)
 
 
 class TestFaultPlanProperty:

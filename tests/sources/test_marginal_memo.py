@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.exceptions import DataError
 from repro.fourier.index import project_indices
+from repro.sources import base
 from repro.sources.base import ensure_dense_allowed
 from repro.sources.record import (
     RecordSource,
@@ -85,7 +86,7 @@ class TestProjectedMarginalsKernel:
             assert np.array_equal(batch[mask], fresh.marginal(mask))
 
 
-def raise_per_mask(source, batches, *, limit_bits):
+def raise_per_mask(source, batches):
     """The reference: check each mask of a worklist in turn."""
     seen = set()
     for root, members in batches:
@@ -97,7 +98,6 @@ def raise_per_mask(source, batches, *, limit_bits):
             seen.add(member)
             ensure_dense_allowed(
                 hamming_weight(member),
-                limit_bits=limit_bits,
                 what=f"the cuboid marginal {member:#x}",
             )
 
@@ -114,13 +114,14 @@ class TestBulkMemo:
             [(0b1111, (0b11, 0b1111))],
         ],
     )
-    def test_invalid_masks_raise_what_the_loop_raises(self, batches):
+    def test_invalid_masks_raise_what_the_loop_raises(self, batches, monkeypatch):
+        monkeypatch.setattr(base, "DENSE_LIMIT_BITS", 3)
         source = RecordSource(np.arange(9, dtype=np.int64), dimension=D)
         compute = lambda work: {}  # noqa: E731 - never reached
         with pytest.raises(DataError) as expected:
-            raise_per_mask(source, batches, limit_bits=3)
+            raise_per_mask(source, batches)
         with pytest.raises(DataError) as actual:
-            checked_worklist_marginals(source, batches, compute, limit_bits=3)
+            checked_worklist_marginals(source, batches, compute)
         assert type(actual.value) is type(expected.value)
         assert str(actual.value) == str(expected.value)
 
@@ -133,6 +134,6 @@ class TestBulkMemo:
             return {member: np.zeros(1) for _root, members in work for member in members}
 
         batches = [(0b11, (0b1, 0b11, 0b1)), (0b111, (0b11, 0b100)), (0b1000, (0b1,))]
-        out = checked_worklist_marginals(source, batches, compute, limit_bits=D)
+        out = checked_worklist_marginals(source, batches, compute)
         assert seen == [(0b11, (0b1, 0b11)), (0b111, (0b100,))]
         assert list(out) == [0b1, 0b11, 0b100]

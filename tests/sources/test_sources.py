@@ -17,6 +17,7 @@ from repro.sources import (
     DenseCubeSource,
     RecordSource,
     as_count_source,
+    base,
     ensure_dense_allowed,
     select_backend,
 )
@@ -212,24 +213,14 @@ class TestDatasetIntegration:
         reference = ContingencyTable.from_records(dataset.schema, dataset.records)
         assert np.array_equal(table.counts, reference.counts)
 
-    def test_limit_bits_can_raise_the_dense_limit(self, monkeypatch):
-        """An explicit per-call limit must work in both directions: lowering
-        it refuses small domains, raising it past the global default allows
-        the dense build (simulated with a tiny global limit so the test does
-        not allocate a >2**26-cell vector)."""
+    def test_dense_wraps_an_existing_table_above_the_limit(self, monkeypatch):
+        """The dense limit guards a dataset's new table build only: once the
+        table exists, wrapping it allocates nothing (simulated with a tiny
+        limit so the test does not allocate a >2**26-cell vector)."""
         schema = Schema.binary(["a", "b", "c", "d"])
         dataset = Dataset(schema, np.zeros((2, 4), dtype=np.int64))
-        with pytest.raises(DataError):
-            dataset.as_source(backend="dense", limit_bits=2)
-        import repro.sources.base as base
-        import repro.sources.resolve as resolve
-
+        dataset.contingency_table()
         monkeypatch.setattr(base, "DENSE_LIMIT_BITS", 3)
-        monkeypatch.setattr(resolve, "DENSE_LIMIT_BITS", 3)
-        source = dataset.as_source(backend="dense", limit_bits=4)
-        assert source.backend == "dense"
-        # Once the dense table exists, wrapping it allocates nothing: the
-        # default-limit call must now succeed instead of raising.
         assert dataset.as_source(backend="dense").backend == "dense"
         with pytest.raises(DataError):
             Dataset(schema, np.zeros((2, 4), dtype=np.int64)).as_source(
@@ -301,14 +292,14 @@ class TestResolution:
         anonymous = RecordSource(np.array([0]), dimension=4)  # no schema: allowed
         assert as_count_source(anonymous, workload) is anonymous
 
-    def test_forced_dense_wraps_a_materialised_vector_above_the_limit(self, workload):
+    def test_forced_dense_wraps_a_materialised_vector_above_the_limit(
+        self, workload, monkeypatch
+    ):
         """The dense limit guards *new* allocations; wrapping an existing
         vector (or table) with backend='dense' must still work."""
+        monkeypatch.setattr(base, "DENSE_LIMIT_BITS", 2)
         vector = np.arange(workload.domain_size, dtype=np.float64)
-        source = as_count_source(vector, workload, backend="dense", limit_bits=2)
+        source = as_count_source(vector, workload, backend="dense")
         assert source.backend == "dense"
         table = ContingencyTable(workload.schema, vector)
-        assert (
-            as_count_source(table, workload, backend="dense", limit_bits=2).backend
-            == "dense"
-        )
+        assert as_count_source(table, workload, backend="dense").backend == "dense"
