@@ -17,7 +17,11 @@ and measures four things:
   admission queue supports: shed rate (503 + ``Retry-After``) and the p99
   of *accepted* requests versus an uncontended run of the same traffic;
 * **drain** — SIGTERM-style ``drain()`` under live fire: the report's
-  ``aborted`` count is the drain loss count and must be zero.
+  ``aborted`` count is the drain loss count and must be zero;
+* **warm cache** — every single query sent twice to a server whose service
+  keeps its answer cache: the second round is answered from the cache on
+  the event loop, so its bodies must equal the in-process cached answers
+  byte for byte and the micro-batcher must not flush once more.
 
 A traced pass feeds an obs latency histogram and embeds the serving tier's
 counters (``net.requests``, ``net.shed``), the ``net.queue_depth`` gauge
@@ -246,6 +250,41 @@ def _drain_under_fire(
     return combined
 
 
+def _warm_cache_pass(
+    store: ReleaseStore, requests: List[QueryRequest], workers: int
+) -> Dict[str, int]:
+    """Send every query twice, one at a time, to a cache-enabled server.
+
+    A reference service gets the identical call sequence, so its answers,
+    ``cached`` flags included, are the bytes each round must return.  The
+    second round only hits the cache, so the batcher must not flush.
+    """
+    reference = QueryService(store)
+    expected = [
+        encode_canonical(answer_payload(reference.query_batch([request])[0]))
+        for request in requests + requests
+    ]
+    jobs = [
+        (index, "/v1/query", json.dumps(_payload_of(request)).encode())
+        for index, request in enumerate(requests)
+    ]
+    service = QueryService(store, batch_workers=workers)
+    with BackgroundServer(service, ServerConfig(port=0)) as background:
+        _, first = _http_pass(background.address, jobs, 1)
+        flushes = background.server.server_stats()["batching"]["flushes"]
+        _, second = _http_pass(background.address, jobs, 1)
+        stats = background.server.server_stats()
+    for position, (outcome, body) in enumerate(zip(first + second, expected)):
+        assert outcome[0] == 200, f"warm-cache request {position} answered {outcome[0]}"
+        assert outcome[1] == body, f"warm-cache request {position} diverged in-process"
+    assert stats["batching"]["flushes"] == flushes, "a cached request reached the batcher"
+    return {
+        "queries": len(requests),
+        "flushes": flushes,
+        "cache_answered": stats["cache_answered"],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", type=int, default=None, help="synthetic records")
@@ -375,6 +414,7 @@ def main(argv=None) -> int:
             workers,
             clients,
         )
+        warm_cache = _warm_cache_pass(store, requests, workers)
 
     http_qps = query_count / http_seconds
     in_qps = query_count / in_seconds
@@ -426,6 +466,7 @@ def main(argv=None) -> int:
             ),
         },
         "drain": drain,
+        "warm_cache": warm_cache,
         "observability": {
             "counters": metrics["counters"],
             "gauges": metrics["gauges"],
@@ -466,6 +507,11 @@ def main(argv=None) -> int:
     print(
         f"drain under fire: {drain['ok']} answered, "
         f"{drain['completed']} in-flight completed, {drain['aborted']} aborted"
+    )
+    print(
+        f"warm cache: {warm_cache['queries']} queries sent twice, bodies "
+        f"byte-identical, {warm_cache['cache_answered']} answered on the loop, "
+        f"{warm_cache['flushes']} flushes (all in the first round)"
     )
 
     # The drain loss count: accepted requests must never be abandoned.

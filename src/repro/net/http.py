@@ -109,10 +109,9 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
     try:
         line = await reader.readuntil(b"\n")
     except asyncio.LimitOverrunError:
+        # Longer than the stream's own buffer limit (64 KiB by default).
         raise ProtocolError(
-            431 if 431 in STATUS_REASONS else 400,
-            f"header line exceeds {MAX_LINE_BYTES} bytes",
-            close_connection=True,
+            400, f"header line exceeds {MAX_LINE_BYTES} bytes", close_connection=True
         ) from None
     except asyncio.IncompleteReadError as error:
         if not error.partial:

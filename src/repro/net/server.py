@@ -8,23 +8,36 @@ Request lifecycle, in order, with the failure mode each stage owns:
 2. **deadline** — ``X-Deadline-Ms`` declares the client's budget; the
    server refuses work it cannot finish in time (504 once expired, and
    expired requests are dropped *before* aggregation, not after);
-3. **breaker** (:class:`~repro.net.breaker.ReleaseBreaker`) — requests
+3. **draining** — once a drain has begun, every query gets a 503
+   ``draining``, even one whose answer is cached;
+4. **breaker** (:class:`~repro.net.breaker.ReleaseBreaker`) — requests
    pinned to a repeatedly-failing release get an instant 503 instead of a
-   worker slot;
-4. **admission** (:class:`~repro.net.admission.AdmissionController`) —
+   worker slot, even when their answer is cached;
+5. **answer cache** — a request whose every query is an answer-cache hit
+   (:meth:`~repro.serving.service.QueryService.cached_answers`) is
+   answered right here on the event loop: no admission, no ``net.handler``
+   fault site, no batcher, no executor hop.  Its body is byte-identical to
+   what the full path returns, ``"cached": true`` included.  A pinned hit
+   records the breaker verdict a miss would: a failure if any answer is
+   degraded, a success otherwise.  The half-open probe never takes this
+   path: it goes through admission, the batcher and the executor, and its
+   outcome there decides the breaker.  ``cache_size=0`` turns this stage
+   off with the cache;
+6. **admission** (:class:`~repro.net.admission.AdmissionController`) —
    bounded pending queue and deadline-feasibility shedding with honest
    ``Retry-After`` hints;
-5. **micro-batching** (:class:`~repro.net.batching.MicroBatcher`) —
+7. **micro-batching** (:class:`~repro.net.batching.MicroBatcher`) —
    admitted queries coalesce into grouped
    :meth:`~repro.serving.service.QueryService.query_batch` calls on a
    thread pool sized to the service's batch workers;
-6. **drain** — on SIGTERM the listener closes, queued batches flush, and
+8. **drain** — on SIGTERM the listener closes, queued batches flush, and
    in-flight requests get a bounded grace period to finish; the drain
    report says exactly how many completed and how many were abandoned.
 
 The ``net.handler`` fault site fires between admission and batching, so
-fault plans can prove that a crash *inside* the server leaves a clean 500
-and a released admission slot — never a stuck queue or a partial answer.
+only on the miss path, and fault plans can prove that a crash *inside* the
+server leaves a clean 500 and a released admission slot — never a stuck
+queue or a partial answer.
 """
 
 from __future__ import annotations
@@ -133,6 +146,7 @@ class QueryServer:
         self._idle.set()
         self._requests = 0
         self._accepted = 0
+        self._cache_answered = 0
         self._drain_report: Optional[Dict[str, int]] = None
         self.host = self._config.host
         self.port = self._config.port
@@ -316,10 +330,18 @@ class QueryServer:
         return 200, json.dumps(payload, sort_keys=True).encode("utf-8"), "application/json", ()
 
     def server_stats(self) -> Dict[str, object]:
-        """Edge counters: admission, batching, breakers, drain state."""
+        """Edge counters: admission, batching, breakers, drain state.
+
+        ``cache_answered`` counts query requests answered on the loop from
+        the answer cache; they bypass admission and the batcher, so they
+        are not in ``accepted``, the ``admission`` block (its EWMA samples
+        only aggregation work) or ``batching`` (``flushes`` and
+        ``mean_flush_size`` cover only requests with a cache miss).
+        """
         return {
             "requests": self._requests,
             "accepted": self._accepted,
+            "cache_answered": self._cache_answered,
             "inflight": self._inflight,
             "draining": self._draining,
             "admission": self._admission.stats(),
@@ -417,6 +439,12 @@ class QueryServer:
         # health is actually known, probe_aborted otherwise — a leaked
         # probe slot would refuse every later pinned request forever.
         probe = self._breaker.is_probe(release_id)
+        if not probe:
+            answers = self._service.cached_answers(queries, release_id)
+            if answers is not None:
+                self._cache_answered += 1
+                self._record_verdict(release_id, answers)
+                return self._answers_response(answers, batch, ndjson)
         weight = len(queries)
         shed = self._admission.admit(weight, budget_s)
         if shed is not None:
@@ -443,15 +471,7 @@ class QueryServer:
                     "application/json",
                     (),
                 )
-            if release_id is not None:
-                # A pinned release answering only through degraded fallbacks
-                # is failing from the client's point of view: count it toward
-                # the breaker so repeated corruption converges to fast 503s.
-                if any(answer.degraded for answer in answers):
-                    self._breaker.record_failure(release_id)
-                else:
-                    self._breaker.record_success(release_id)
-                verdict = True
+            verdict = self._record_verdict(release_id, answers)
         except DeadlineExceededError as error:
             if _obs.ENABLED:
                 _obs.counter_inc("net.deadline_exceeded")
@@ -493,6 +513,30 @@ class QueryServer:
             if self._inflight == 0:
                 self._idle.set()
 
+        return self._answers_response(answers, batch, ndjson)
+
+    def _record_verdict(
+        self, release_id: Optional[str], answers: List[ServedAnswer]
+    ) -> bool:
+        """Tell a pinned release's breaker how its answers went; returns
+        whether a verdict was recorded (never for unpinned requests).
+
+        A pinned release answering through degraded fallbacks is failing
+        from the client's point of view: it counts toward the breaker, so
+        repeated corruption converges to fast 503s.
+        """
+        if release_id is None:
+            return False
+        if any(answer.degraded for answer in answers):
+            self._breaker.record_failure(release_id)
+        else:
+            self._breaker.record_success(release_id)
+        return True
+
+    @staticmethod
+    def _answers_response(
+        answers: List[ServedAnswer], batch: bool, ndjson: bool
+    ) -> _Response:
         payloads = [answer_payload(answer) for answer in answers]
         if batch:
             body, content_type = encode_batch(payloads, ndjson)

@@ -4,6 +4,9 @@ Served answers are immutable (the planner freezes the value arrays), so they
 can be shared between the cache and callers without copying.  The cache is
 agnostic of its keys; :class:`~repro.serving.service.QueryService` keys it on
 the raw request signature, so a hit skips name resolution and routing too.
+The HTTP tier looks requests up on its event-loop thread, before admission
+and the micro-batcher, and answers a request whose queries all hit right
+there; misses go on to the executor threads, which ``put`` the answers.
 
 Hit/miss/eviction bookkeeping uses the pipeline-wide
 :class:`~repro.obs.cachestats.CacheStats` protocol (re-exported here for
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable, Optional
+from typing import Hashable, List, Optional, Sequence
 
 from repro.exceptions import ServingError
 from repro.obs.cachestats import CacheStats
@@ -66,14 +69,34 @@ class AnswerCache:
     # ------------------------------------------------------------------ #
     def get(self, key: Hashable) -> Optional[ServedAnswer]:
         """Look up an answer, refreshing its recency; ``None`` on a miss."""
+        return self.get_many((key,))[0]  # type: ignore[index]
+
+    def get_many(
+        self, keys: Sequence[Optional[Hashable]], *, all_or_nothing: bool = False
+    ) -> Optional[List[Optional[ServedAnswer]]]:
+        """Look up several answers under one lock, refreshing their recency.
+
+        Returns one answer per key, ``None`` for a miss; a ``None`` key is
+        never looked up and not counted.  With ``all_or_nothing``, one miss
+        makes the call return ``None`` and record nothing, because the
+        caller falls back to a path that looks the same keys up again:
+        each request is counted once.
+        """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._stats.record_miss()
-                return None
-            self._entries.move_to_end(key)
-            self._stats.record_hit()
-            return entry
+            entries = self._entries
+            found: List[Optional[ServedAnswer]] = []
+            for key in keys:
+                entry = None if key is None else entries.get(key)
+                if entry is None and all_or_nothing:
+                    return None
+                found.append(entry)
+            for key, entry in zip(keys, found):
+                if entry is not None:
+                    entries.move_to_end(key)
+                    self._stats.record_hit()
+                elif key is not None:
+                    self._stats.record_miss()
+            return found
 
     def put(self, key: Hashable, answer: ServedAnswer) -> None:
         """Insert (or refresh) an answer, evicting the least recently used."""

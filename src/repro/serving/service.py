@@ -8,6 +8,8 @@ release, plans and aggregates through the
 :class:`~repro.serving.planner.QueryPlanner`, and memoises answers in an
 LRU :class:`~repro.serving.cache.AnswerCache` keyed on the raw request
 signature, so a hit skips resolution and routing as well.
+:meth:`QueryService.cached_answers` is that lookup alone, all or nothing;
+the HTTP tier runs it on its event loop to answer all-hit requests there.
 
 Single and batched queries share one path.  Requests are grouped by resolved
 ``(release, source cuboid, aggregation target)``: each group is aggregated
@@ -574,6 +576,37 @@ class QueryService:
         with _obs.trace_span("serving.query_batch", requests=len(coerced)):
             return self._serve(coerced, release_id)
 
+    def cached_answers(
+        self, requests: Sequence[QueryRequest], release_id: Optional[str] = None
+    ) -> Optional[List[ServedAnswer]]:
+        """Every request's answer if all of them are answer-cache hits, else
+        ``None`` (and nothing is counted: :meth:`query_batch` counts them).
+
+        The answers are exactly what :meth:`query_batch` would return for
+        the same call now, ``cached`` flag included.  No name resolution,
+        routing or aggregation runs, so the HTTP tier calls this on its
+        event-loop thread before admission.
+        """
+        _signatures, answers = self._lookup(
+            self._current().cache, requests, release_id, all_or_nothing=True
+        )
+        return answers  # type: ignore[return-value]
+
+    @staticmethod
+    def _lookup(
+        cache: AnswerCache,
+        requests: Sequence[QueryRequest],
+        release_id: Optional[str],
+        *,
+        all_or_nothing: bool = False,
+    ) -> Tuple[List[object], Optional[List[Optional[ServedAnswer]]]]:
+        """``(signatures, answers)``: each request's cache key and cached
+        answer (``None`` on a miss); see :meth:`AnswerCache.get_many`."""
+        signatures = [_request_signature(request, release_id) for request in requests]
+        if not cache.max_entries:
+            return signatures, None if all_or_nothing else [None] * len(requests)
+        return signatures, cache.get_many(signatures, all_or_nothing=all_or_nothing)
+
     def _serve(
         self, requests: List[QueryRequest], release_id: Optional[str]
     ) -> List[ServedAnswer]:
@@ -581,16 +614,8 @@ class QueryService:
         # Answers go to the cache of the epoch they were computed in, even if
         # a concurrent invalidate retires it meanwhile.
         cache = state.cache
-        answers: List[Optional[ServedAnswer]] = [None] * len(requests)
-        signatures = [_request_signature(request, release_id) for request in requests]
-        pending: List[int] = []
-        for position, signature in enumerate(signatures):
-            if cache.max_entries and signature is not None:
-                cached = cache.get(signature)
-                if cached is not None:
-                    answers[position] = cached
-                    continue
-            pending.append(position)
+        signatures, answers = self._lookup(cache, requests, release_id)
+        pending = [position for position, answer in enumerate(answers) if answer is None]
         # A group whose source fails its digest check quarantines that cuboid
         # and its members take another pass, which re-plans them around the
         # quarantine (or re-routes them to an older release).  Each retry

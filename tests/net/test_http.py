@@ -110,6 +110,15 @@ class TestReadRequest:
             parse(b"GET / HTTP/1.1\r\n" + headers + b"\r\n")
         assert excinfo.value.status == 400
 
+    def test_line_past_the_stream_limit_is_400_and_closes(self):
+        # Longer than the StreamReader's own 64 KiB buffer limit, so
+        # readuntil() gives up before MAX_LINE_BYTES is even checked.
+        raw = b"GET / HTTP/1.1\r\nX-Long: " + b"a" * (1 << 16) + b"\r\n\r\n"
+        with pytest.raises(ProtocolError) as excinfo:
+            parse(raw)
+        assert excinfo.value.status == 400
+        assert excinfo.value.close_connection
+
     def test_header_float_rejects_garbage(self):
         request = parse(b"GET / HTTP/1.1\r\nX-Deadline-Ms: soon\r\n\r\n")
         with pytest.raises(ProtocolError) as excinfo:

@@ -4,17 +4,59 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.engine import release_marginals
 from repro.net.protocol import answer_payload, encode_canonical
 from repro.net.server import BackgroundServer, QueryServer, ServerConfig
 from repro.obs import tracing
-from repro.serving.service import QueryService
+from repro.queries import all_k_way
+from repro.serving.service import QueryRequest, QueryService
 from repro.serving.store import ReleaseStore
 from tests.store_files import corrupt_marginal
+
+PINNED = {"attributes": ["a"], "release": "release-0001"}
+
+
+def count_query_batch(service, monkeypatch):
+    """Wrap ``service.query_batch``; returns the list of calls it records."""
+    calls = []
+    query_batch = service.query_batch
+
+    def counted(requests, release_id=None):
+        calls.append(len(requests))
+        return query_batch(requests, release_id=release_id)
+
+    monkeypatch.setattr(service, "query_batch", counted)
+    return calls
+
+
+def cached_bytes(store, query):
+    """The in-process body of ``query``'s second, cached answer."""
+    reference = QueryService(ReleaseStore(store.root, create=False))
+    reference.query(query["attributes"], where=query.get("where"))
+    answer = reference.query(query["attributes"], where=query.get("where"))
+    assert answer.cached
+    return encode_canonical(answer_payload(answer))
+
+
+@pytest.fixture
+def corrupt_store(tmp_path, release) -> ReleaseStore:
+    """A store whose first 2-way cuboid's vector was tampered with."""
+    store = ReleaseStore(tmp_path / "cstore")
+    rid = store.put(release)
+    clean = QueryService(ReleaseStore(tmp_path / "cstore", create=False))
+    # Corrupt the source that serves the 1-way 'a' marginal: after the
+    # quarantine, other 2-way cuboids containing 'a' still cover it, so
+    # the query degrades instead of failing.
+    answer = clean.query(["a"])
+    corrupt_marginal(store.root, rid, answer.plan.source_position, release)
+    return ReleaseStore(tmp_path / "cstore", create=False)
 
 
 @pytest.fixture
@@ -266,19 +308,6 @@ class TestDrain:
 
 
 class TestBreaker:
-    @pytest.fixture
-    def corrupt_store(self, tmp_path, release) -> ReleaseStore:
-        """A store whose first 2-way cuboid's vector was tampered with."""
-        store = ReleaseStore(tmp_path / "cstore")
-        rid = store.put(release)
-        clean = QueryService(ReleaseStore(tmp_path / "cstore", create=False))
-        # Corrupt the source that serves the 1-way 'a' marginal: after the
-        # quarantine, other 2-way cuboids containing 'a' still cover it, so
-        # the query degrades instead of failing.
-        answer = clean.query(["a"])
-        corrupt_marginal(store.root, rid, answer.plan.source_position, release)
-        return ReleaseStore(tmp_path / "cstore", create=False)
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_degraded_pinned_answers_trip_the_breaker(
         self, corrupt_store, client_factory
@@ -336,8 +365,6 @@ class TestBreaker:
         # Regression: a half-open probe exiting through the 504 path left
         # probing=True forever — every later pinned request was refused and
         # none could ever be admitted to clear the breaker.
-        import time
-
         service = QueryService(corrupt_store)
         config = ServerConfig(port=0, breaker_threshold=1, breaker_cooldown_s=0.2)
         with BackgroundServer(service, config) as background:
@@ -391,3 +418,197 @@ class TestWorkers:
         assert server.workers == 1
         assert server.server_stats()["admission"]["workers"] == 1
         assert QueryServer(QueryService(store, batch_workers=3)).workers == 3
+
+
+class TestCacheHitPath:
+    """A request whose every query is cached is answered on the event loop."""
+
+    def test_cached_request_never_reaches_query_batch(
+        self, server, service, store, client_factory, monkeypatch
+    ):
+        client = client_factory(server.address)
+        query = {"attributes": ["a", "b"]}
+        assert client.post_json("/v1/query", query)[0] == 200
+        calls = count_query_batch(service, monkeypatch)
+        before = server.server.server_stats()
+        status, _, body = client.post_json("/v1/query", query)
+        after = server.server.server_stats()
+        assert status == 200
+        assert body == cached_bytes(store, query)
+        assert calls == []
+        assert after["batching"]["flushes"] == before["batching"]["flushes"]
+        assert after["accepted"] == before["accepted"]
+        assert after["cache_answered"] == before["cache_answered"] + 1
+
+    def test_cached_batch_never_reaches_query_batch(
+        self, server, service, store, client_factory, monkeypatch
+    ):
+        client = client_factory(server.address)
+        queries = [{"attributes": ["a"]}, {"attributes": ["b"], "where": {"c": 1}}]
+        assert client.post_json("/v1/query/batch", queries)[0] == 200
+        calls = count_query_batch(service, monkeypatch)
+        status, _, body = client.post_json("/v1/query/batch", queries)
+        assert status == 200
+        assert body == b"[" + b",".join(cached_bytes(store, q) for q in queries) + b"]"
+        assert calls == []
+
+    def test_one_miss_sends_the_whole_request_down_the_full_path(
+        self, server, service, client_factory, monkeypatch
+    ):
+        client = client_factory(server.address)
+        assert client.post_json("/v1/query", {"attributes": ["a"]})[0] == 200
+        calls = count_query_batch(service, monkeypatch)
+        queries = [{"attributes": ["a"]}, {"attributes": ["b"]}]
+        status, _, body = client.post_json("/v1/query/batch", queries)
+        assert status == 200
+        assert calls == [2]
+        assert [answer["cached"] for answer in json.loads(body)] == [True, False]
+
+    def test_zero_cache_size_turns_the_path_off(self, store, client_factory, monkeypatch):
+        service = QueryService(store, cache_size=0)
+        calls = count_query_batch(service, monkeypatch)
+        with BackgroundServer(service, ServerConfig(port=0)) as background:
+            client = client_factory(background.address)
+            for _ in range(2):
+                assert client.post_json("/v1/query", {"attributes": ["a"]})[0] == 200
+            assert background.server.server_stats()["cache_answered"] == 0
+        assert calls == [1, 1]
+
+    def test_draining_refuses_a_cached_request(self, server, client_factory):
+        client = client_factory(server.address)
+        assert client.post_json("/v1/query", {"attributes": ["a"]})[0] == 200
+        server.server._draining = True
+        try:
+            status, _, body = client.post_json("/v1/query", {"attributes": ["a"]})
+            assert status == 503
+            assert json.loads(body)["reason"] == "draining"
+        finally:
+            server.server._draining = False
+        assert server.server.server_stats()["cache_answered"] == 0
+
+    def test_open_breaker_refuses_a_cached_request(self, service, client_factory):
+        config = ServerConfig(port=0, breaker_threshold=1, breaker_cooldown_s=60.0)
+        with BackgroundServer(service, config) as background:
+            client = client_factory(background.address)
+            assert client.post_json("/v1/query", PINNED)[0] == 200
+            background.server._breaker.record_failure("release-0001")
+            status, _, body = client.post_json("/v1/query", PINNED)
+            assert status == 503
+            assert json.loads(body)["reason"] == "breaker_open"
+            assert background.server.server_stats()["cache_answered"] == 0
+        assert service.cached_answers([QueryRequest(attributes=("a",))], "release-0001")
+
+    def test_half_open_probe_takes_the_full_path_and_decides(
+        self, service, client_factory, monkeypatch
+    ):
+        config = ServerConfig(port=0, breaker_threshold=1, breaker_cooldown_s=0.2)
+        with BackgroundServer(service, config) as background:
+            client = client_factory(background.address)
+            assert client.post_json("/v1/query", PINNED)[0] == 200
+            background.server._breaker.record_failure("release-0001")
+            time.sleep(0.3)  # cooldown elapses -> half-open
+            calls = count_query_batch(service, monkeypatch)
+            status, _, body = client.post_json("/v1/query", PINNED)
+            assert status == 200
+            assert json.loads(body)["cached"] is True
+            assert calls == [1]  # the probe went through the batcher
+            assert background.server.server_stats()["cache_answered"] == 0
+            assert background.server._breaker.open_releases() == {}
+            # The probe closed the breaker: the next request is a loop hit.
+            assert client.post_json("/v1/query", PINNED)[0] == 200
+            assert calls == [1]
+            assert background.server.server_stats()["cache_answered"] == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pinned_degraded_hit_records_a_breaker_failure(
+        self, corrupt_store, client_factory, monkeypatch
+    ):
+        service = QueryService(corrupt_store)
+        config = ServerConfig(port=0, breaker_threshold=2, breaker_cooldown_s=60.0)
+        with BackgroundServer(service, config) as background:
+            client = client_factory(background.address)
+            status, _, body = client.post_json("/v1/query", PINNED)
+            assert status == 200 and json.loads(body)["degraded"] is True
+            assert background.server._breaker.open_releases() == {}  # 1 of 2
+            calls = count_query_batch(service, monkeypatch)
+            status, _, body = client.post_json("/v1/query", PINNED)
+            assert status == 200
+            payload = json.loads(body)
+            assert payload["degraded"] is True and payload["cached"] is True
+            assert calls == []
+            # The hit was the second failure: the breaker is open now.
+            assert "release-0001" in background.server._breaker.open_releases()
+            assert client.post_json("/v1/query", PINNED)[0] == 503
+
+    def test_pinned_healthy_hit_records_a_breaker_success(self, service, client_factory):
+        config = ServerConfig(port=0, breaker_threshold=2)
+        with BackgroundServer(service, config) as background:
+            client = client_factory(background.address)
+            assert client.post_json("/v1/query", PINNED)[0] == 200
+            breaker = background.server._breaker
+            breaker.record_failure("release-0001")
+            assert client.post_json("/v1/query", PINNED)[0] == 200
+            assert background.server.server_stats()["cache_answered"] == 1
+            # The success reset the count: one more failure does not trip.
+            breaker.record_failure("release-0001")
+            assert breaker.open_releases() == {}
+
+
+class TestCacheHitInvalidation:
+    """A store change between two identical requests is never served stale."""
+
+    @pytest.fixture
+    def other_release(self, schema, counts):
+        workload = all_k_way(schema, 2)
+        return release_marginals(counts, workload, budget=1.0, strategy="F", rng=4)
+
+    def test_overwrite_serves_the_new_release(
+        self, server, service, other_release, client_factory
+    ):
+        client = client_factory(server.address)
+        query = {"attributes": ["a"]}
+        status, _, first = client.post_json("/v1/query", query)
+        assert status == 200
+        service.store.put(other_release, release_id="release-0001", overwrite=True)
+        status, _, second = client.post_json("/v1/query", query)
+        assert status == 200
+        fresh = QueryService(ReleaseStore(service.store.root, create=False)).query(["a"])
+        assert second == encode_canonical(answer_payload(fresh))
+        assert second != first
+        assert json.loads(second)["cached"] is False
+
+    def test_deleted_pinned_release_is_a_400(self, server, service, client_factory):
+        client = client_factory(server.address)
+        assert client.post_json("/v1/query", PINNED)[0] == 200
+        service.store.delete("release-0001")
+        status, _, body = client.post_json("/v1/query", PINNED)
+        assert status == 400
+        assert json.loads(body)["error"] == "no release 'release-0001' in the store"
+
+    def test_invalidate_drops_the_cached_answer(
+        self, server, service, store, client_factory, monkeypatch
+    ):
+        client = client_factory(server.address)
+        query = {"attributes": ["a"]}
+        status, _, first = client.post_json("/v1/query", query)
+        assert status == 200
+        service.invalidate()
+        calls = count_query_batch(service, monkeypatch)
+        status, _, second = client.post_json("/v1/query", query)
+        assert status == 200
+        assert calls == [1]
+        assert second == first  # recomputed, so "cached": false again
+        assert second != cached_bytes(store, query)
+
+
+class TestOverlongLines:
+    def test_line_past_the_stream_limit_is_400_and_closes(self, server):
+        line = b"X-Long: " + b"a" * (70 * 1024) + b"\r\n"
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n" + line + b"\r\n")
+            received = b""
+            while chunk := sock.recv(1 << 16):  # b"" once the server closes
+                received += chunk
+        head = received.split(b"\r\n\r\n", 1)[0]
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head

@@ -31,6 +31,20 @@ class TestAnswerCache:
         assert stats.misses == 1
         assert stats.hit_rate == pytest.approx(0.5)
 
+    def test_get_many_all_or_nothing_counts_only_a_full_hit(self):
+        cache = AnswerCache(4)
+        k1, k2 = ("r", 1), ("r", 2)
+        cache.put(k1, make_answer(1))
+        assert cache.get_many([k1, k2], all_or_nothing=True) is None
+        assert cache.get_many([k1, None], all_or_nothing=True) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
+        found = cache.get_many([k1, k2, None])
+        assert found[0] is not None and found[1:] == [None, None]
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+        cache.put(k2, make_answer(2))
+        assert len(cache.get_many([k1, k2], all_or_nothing=True)) == 2
+        assert (cache.stats.hits, cache.stats.misses) == (3, 1)
+
     def test_lru_eviction_order(self):
         cache = AnswerCache(2)
         k1, k2, k3 = (("r", m) for m in (1, 2, 3))

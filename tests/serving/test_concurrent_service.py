@@ -21,7 +21,7 @@ import pytest
 from serial_reference import SerialReference
 
 import repro.serving.planner as planner_module
-from repro.serving.service import QueryService
+from repro.serving.service import QueryRequest, QueryService
 from repro.serving.store import ReleaseStore
 from tests.store_files import corrupt_marginal
 
@@ -132,6 +132,56 @@ class TestConcurrentQueryBatch:
         # The cache respected its (tiny) cap despite concurrent inserts.
         assert len(service.cache) <= 2
         assert service.stats()["cache"]["evictions"] > 0
+
+    def test_cache_lookups_race_batch_inserts(self, store):
+        """``cached_answers`` (the HTTP tier's event-loop lookup) against
+        executor-thread inserts evicting from a cache smaller than the
+        working set: every hit is the serial answer, and each query is
+        counted once, by whichever of the two answered it."""
+        queries = [{"attributes": (name,)} for name in ATTRS] + [
+            {"attributes": (name,), "where": {ATTRS[(i + 1) % 5]: i % 2}}
+            for i, name in enumerate(ATTRS)
+        ]
+        requests = [
+            QueryRequest(attributes=query["attributes"], where=query.get("where"))
+            for query in queries
+        ]
+        reference = SerialReference(store)
+        expected = [_digest(reference.answers([query])) for query in queries]
+        service = QueryService(store, cache_size=4)
+        service.planner()
+        counted = [0] * THREADS
+        errors: List[BaseException] = []
+        mismatches: List[str] = []
+        barrier = threading.Barrier(THREADS)
+
+        def worker(index: int) -> None:
+            try:
+                barrier.wait(timeout=30)
+                for step in range(ROUNDS * 10):
+                    position = (index * 7 + step * 3) % len(queries)
+                    if index % 2:
+                        answers = service.cached_answers([requests[position]])
+                        if answers is None:
+                            continue
+                    else:
+                        answers = service.query_batch([queries[position]])
+                    counted[index] += 1
+                    if _digest(answers) != expected[position]:
+                        mismatches.append(f"thread {index} query {position} diverged")
+            except BaseException as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        _run_threads(
+            [threading.Thread(target=worker, args=(index,)) for index in range(THREADS)]
+        )
+
+        assert errors == []
+        assert mismatches == []
+        cache = service.stats()["cache"]
+        assert cache["hits"] + cache["misses"] == sum(counted)
+        assert sum(counted[1::2]) > 0  # the loop-side lookups did hit
+        assert len(service.cache) <= 4
 
     def test_concurrent_queries_with_invalidation_churn(self, store):
         """invalidate() swaps the serving state mid-flight without errors."""
